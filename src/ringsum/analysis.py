@@ -20,6 +20,7 @@ from .model import (
     ProtocolConfig,
     RingSumError,
 )
+from .engine import noise_block
 from .noise import NoiseSource
 
 
@@ -189,7 +190,7 @@ def epsilon_total(
 class AuditResult:
     observed: float            # sum over steps of the per-step observed max log ratio
     per_step: list[float]
-    epsilon: float             # closed-form budget for the audited K
+    epsilon: float             # closed-form budget for the audited K (start-shifted if applied)
     noise_floor: float         # rough scale of pure estimation noise in `observed`
     bins_used: int
     bins_skipped: int
@@ -207,13 +208,11 @@ def _sample_traces(
 ) -> np.ndarray:
     """Adversary-observable messages d_i(k), shape (K, n, samples)."""
     n = len(secrets)
-    nodes = np.arange(1, n + 1, dtype=np.uint64)[None, :]
     trials = (np.arange(samples, dtype=np.uint64) + np.uint64(trial_offset))[:, None]
     x = np.tile(secrets, (samples, 1))
     out = np.empty((K, n, samples))
     for k in range(K):
-        scales = np.array([s.scale(k) for s in schedules])[None, :]
-        beta = src.sample(nodes, k, trials, scales, dist)
+        beta = noise_block(src, dist, range(1, n + 1), schedules, [k], trials)[0]
         d = x - beta
         out[k] = d.T
         x = beta + np.roll(d, 1, axis=1)
@@ -296,13 +295,16 @@ def dp_audit(
         )
     agg = ScheduleAggregates.from_schedules(config.schedules)
     budget = epsilon_total(agg, delta, K, config.distribution)
+    # The traces were sampled with the k = 0 start shift, so they must meet
+    # the budget that includes it.
+    epsilon = budget.total if budget.total_start_shifted is None else budget.total_start_shifted
     # Multiple-testing inflation over the qualifying bins, on top of the
     # per-bin standard errors at the argmax.
     z = math.sqrt(2.0 * math.log(max(bins_used, 2)))
     return AuditResult(
         observed=math.fsum(per_step),
         per_step=per_step,
-        epsilon=budget.total,
+        epsilon=epsilon,
         noise_floor=z * math.fsum(floors),
         bins_used=bins_used,
         bins_skipped=bins_skipped,

@@ -198,7 +198,7 @@ def _run_simulate(args) -> int:
         _write_single_errors(out_dir / "errors.csv", run)
         summary.append(_check_line("conservation", run.max_rel_drift, CONSERVATION_TOL))
     elif protocol == "si":
-        run = engine.run_si(config)
+        run = engine.run_si(config, record_trace=False)
         _write_trajectories(out_dir / "trajectories.csv", run)
         agg = None
         if trials >= 2:

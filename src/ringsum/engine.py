@@ -5,6 +5,10 @@ Synchronous semantics are two-phase per round: every masked message
 d_i(k) = x_i(k) - beta_i(k) is computed from the pre-round state before any
 node updates, matching the compact dynamics x(k+1) = A x(k) + (I - A) beta(k).
 
+The dynamics act alike on every Monte Carlo trial and each noise draw is a
+pure function of (seed, node, k, trial), so `simulate` advances all trials
+as one (trials, n) state, phase by phase; `run_si` is its one-trial view.
+
 Membership semantics:
   * A leave at step k replaces the round at k. The leaver sends its state
     minus its secret, its predecessor sends nothing and only accumulates the
@@ -30,8 +34,6 @@ from .model import (
     ConfigError,
     Distribution,
     Family,
-    Join,
-    Leave,
     NoiseSchedule,
     ProtocolConfig,
     RingSumError,
@@ -39,6 +41,10 @@ from .model import (
     build_ring,
 )
 from .noise import NoiseSource
+
+# Noise values drawn per sampling call. Bounds the temporaries of the
+# counter hash while keeping a few hundred rounds per call at 1000 states.
+NOISE_CHUNK = 1 << 18
 
 
 class MembershipError(RingSumError, ValueError):
@@ -55,7 +61,7 @@ def _scale_with_start_shift(schedule: NoiseSchedule, k: int) -> float:
 def scale_column(schedule: NoiseSchedule, ks: np.ndarray) -> np.ndarray:
     """Vectorized v(k) over integer steps, with the same d = 0 substitution.
 
-    Every execution path samples scales through this one routine so that
+    Every synchronous path samples scales through this one routine so that
     scalar and batched runs see bit-identical noise.
     """
     ks_f = np.asarray(ks, dtype=np.float64)
@@ -64,6 +70,80 @@ def scale_column(schedule: NoiseSchedule, ks: np.ndarray) -> np.ndarray:
             return schedule.c / np.maximum(ks_f, 1.0)
         return schedule.c / (ks_f + schedule.d)
     return schedule.c * schedule.phi**ks_f
+
+
+def noise_block(source, dist, order, schedules, ks, trials) -> np.ndarray:
+    """beta for every step in `ks`, trial and member: shape (len(ks), trials, n)."""
+    ks = np.asarray(ks, dtype=np.uint64)
+    scales = np.stack([scale_column(s, ks) for s in schedules], axis=1)[:, None, :]
+    return source.sample(np.array(order, dtype=np.uint64), ks[:, None, None], trials, scales, dist)
+
+
+def _round(x, beta, order, out, leaver=None, secret=0.0):
+    """One round on (trials, n) rows into `out`; returns (senders, messages).
+
+    In the departure round of column `leaver`, the leaver unmasks its secret
+    and its predecessor only accumulates; the caller drops the leaver's column.
+    """
+    d = x - beta
+    if leaver is not None:
+        d[:, leaver] = x[:, leaver] - secret
+    np.add(beta[:, 1:], d[:, :-1], out=out[:, 1:])
+    np.add(beta[:, :1], d[:, -1:], out=out[:, :1])
+    if leaver is None:
+        return order, d
+    pi = (leaver - 1) % len(order)
+    out[:, pi] = x[:, pi] + d[:, pi - 1]
+    return order[:pi] + order[pi + 1 :], np.delete(d, pi, axis=1)
+
+
+def _fold_drift(max_drift: float, states: np.ndarray, target: float) -> float:
+    """Max of `max_drift` and the relative member-sum drift of `states`; NaN sticks."""
+    drift = np.abs(states.sum(axis=-1) - target).max(initial=0.0) / max(1.0, abs(target))
+    return float(np.maximum(max_drift, drift))
+
+
+def simulate(config: ProtocolConfig, trials: int, states: list, first_trial: int = 0,
+             source: NoiseSource | None = None, record=None) -> float:
+    """Run trials first_trial .. first_trial + trials - 1 of `config` together.
+
+    `states[p]` stores phase p of `config.phases()`: its row t, of shape
+    (trials, n), receives the state at step start_k + t, in whatever memory
+    layout the caller chose. `record(k, senders, d)`, if given, receives each
+    round's delivered messages. Returns the largest relative member-sum drift.
+    """
+    phases = config.phases()
+    if any(phase.leaver is not None and phase.n - 1 < 3 for phase in phases):
+        raise ConfigError("a leave would shrink the ring below 3 members")
+    source, record = source or NoiseSource(config.rng_seed), record or (lambda *_: None)
+    trial_ids = np.arange(first_trial, first_trial + trials, dtype=np.uint64)[:, None]
+    max_drift, x = 0.0, np.asarray(phases[0].secrets, dtype=np.float64)
+    for p, (phase, out) in enumerate(zip(phases, states, strict=True)):
+        if phase.joined is not None:
+            j = phase.order.index(phase.joined)
+            x = np.insert(x, j, phase.secrets[j], axis=1)
+        out[0] = x
+        last = phase.stop_k - phase.start_k
+        rounds = last + (phase.leaver is not None)
+        chunk = max(1, NOISE_CHUNK // (trials * phase.n))
+        for c0 in range(0, rounds, chunk):
+            ks = np.arange(phase.start_k + c0, phase.start_k + min(c0 + chunk, rounds))
+            betas = noise_block(source, config.distribution, phase.order, phase.schedules, ks, trial_ids)
+            for r in range(c0, min(c0 + chunk, last)):
+                record(phase.start_k + r, *_round(out[r], betas[r - c0], phase.order, out[r + 1]))
+        # Every state a round produced: out[0] too if a departure round made it.
+        first = 0 if p > 0 and phase.joined is None else 1
+        max_drift = _fold_drift(max_drift, out[first:], phase.target)
+        x = out[last]
+        if phase.leaver is not None:
+            li = phase.order.index(phase.leaver)
+            new = np.empty_like(x)
+            record(phase.stop_k, *_round(x, betas[-1], phase.order, new, li, phase.secrets[li]))
+            x = np.delete(new, li, axis=1)
+    return max_drift
+
+
+# -- single-trial runs and the round-by-round API ----------------------------
 
 
 @dataclass
@@ -101,7 +181,6 @@ class ProtocolRun:
         record_trace: bool = True,
         record_states: bool = True,
     ):
-        self.topology = topology
         self.secrets = dict(secrets)
         self.schedules = dict(schedules)
         self.distribution = distribution
@@ -121,7 +200,15 @@ class ProtocolRun:
         )
         self.segments: list[Segment] = []
         self._open_segment()
-        self._beta_cache = None  # (start_k, order snapshot, matrix)
+
+    @classmethod
+    def start(cls, config: ProtocolConfig, source: NoiseSource | None = None, trial: int = 0,
+              record_trace: bool = True, record_states: bool = True) -> "ProtocolRun":
+        """A run of `config` at step 0 on the canonical ring 1..n."""
+        topo = build_ring(len(config.secrets))
+        return cls(topo, dict(zip(topo.nodes, config.secrets)), dict(zip(topo.nodes, config.schedules)),
+                   config.distribution, source or NoiseSource(config.rng_seed), trial,
+                   record_trace, record_states)
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -148,60 +235,32 @@ class ProtocolRun:
     def _after_step(self):
         if self.record_states:
             self.segments[-1].states.append(self.x.copy())
+        self._track_drift()
+
+    def _track_drift(self):
+        # Scalar arithmetic, not _fold_drift: run_ai calls this on every tick.
         drift = abs(self.x.sum() - self.target) / max(1.0, abs(self.target))
-        if drift > self.max_rel_drift:
-            self.max_rel_drift = drift
+        if not drift <= self.max_rel_drift and not math.isnan(self.max_rel_drift):
+            self.max_rel_drift = drift  # a NaN drift is taken and then kept
 
-    def _scales(self, k: int) -> np.ndarray:
-        ks = np.array([k], dtype=np.uint64)
-        return np.array(
-            [scale_column(self.schedules[i], ks)[0] for i in self.order]
-        )
+    def _record(self, k: int, nodes, d: np.ndarray) -> None:
+        self.trace.extend((k, node, float(v)) for node, v in zip(nodes, d[0]))
 
-    def _betas(self, k: int) -> np.ndarray:
-        cache = self._beta_cache
-        if cache is not None:
-            start, order, mat = cache
-            if order == tuple(self.order) and start <= k < start + len(mat):
-                return mat[k - start]
-        return self.source.sample(
-            np.array(self.order, dtype=np.uint64),
-            k,
-            self.trial,
-            self._scales(k),
-            self.distribution,
-        )
-
-    def prime_betas(self, k_from: int, k_to: int):
-        """Pre-sample noise for steps [k_from, k_to) under current membership."""
-        if k_to <= k_from:
-            return
-        ks = np.arange(k_from, k_to, dtype=np.uint64)
-        nodes = np.array(self.order, dtype=np.uint64)
-        scales = np.empty((k_to - k_from, len(nodes)))
-        for j, node in enumerate(self.order):
-            scales[:, j] = scale_column(self.schedules[node], ks)
-        mat = self.source.sample(
-            nodes[None, :], ks[:, None], self.trial, scales, self.distribution
-        )
-        self._beta_cache = (k_from, tuple(self.order), mat)
+    def _play_round(self, *leaver_secret) -> np.ndarray:
+        """Run round k on the current state; returns the next state."""
+        beta = noise_block(self.source, self.distribution, self.order,
+                           [self.schedules[i] for i in self.order], [self.k], self.trial)[0]
+        new = np.empty((1, self.n))
+        sent = _round(self.x[None, :], beta, self.order, new, *leaver_secret)
+        if self.record_trace:
+            self._record(self.k, *sent)
+        self.k += 1
+        return new[0]
 
 
-# -- operations -----------------------------------------------------------
-
-
-def si_step(run: ProtocolRun, source: NoiseSource | None = None) -> ProtocolRun:
+def si_step(run: ProtocolRun) -> ProtocolRun:
     """One synchronous round: mask, hand off along the ring, increment k."""
-    if source is not None and source is not run.source:
-        run.source = source
-        run._beta_cache = None
-    beta = run._betas(run.k)
-    d = run.x - beta
-    run.x = beta + np.roll(d, 1)
-    if run.record_trace:
-        k = run.k
-        run.trace.extend((k, node, float(dv)) for node, dv in zip(run.order, d))
-    run.k += 1
+    run.x = run._play_round()
     run._after_step()
     return run
 
@@ -219,32 +278,12 @@ def leave(run: ProtocolRun, node: int, k: int | None = None) -> ProtocolRun:
         raise MembershipError(f"node {node} is not a member")
     if run.n - 1 < 3:
         raise MembershipError("leave rejected: membership would drop below 3")
-
-    n = run.n
     li = run.order.index(node)
-    pi = (li - 1) % n
-
-    beta = run._betas(run.k)
-    d = run.x - beta
-    d[li] = run.x[li] - run.secrets[node]
-
-    new_x = beta + np.roll(d, 1)
-    new_x[pi] = run.x[pi] + d[(pi - 1) % n]  # predecessor keeps its state unmasked
-    if run.record_trace:
-        kk = run.k
-        run.trace.extend(
-            (kk, nd, float(d[j])) for j, nd in enumerate(run.order) if j != pi
-        )
-
-    run.topology = run.topology.with_leave(node)
+    run.x = np.delete(run._play_round(li, run.secrets[node]), li)
     run.order.pop(li)
-    run.x = np.delete(new_x, li)
     run.target = math.fsum(run.secrets[i] for i in run.order)
-    run.k += 1
-    run._beta_cache = None
     run._open_segment()
-    drift = abs(run.x.sum() - run.target) / max(1.0, abs(run.target))
-    run.max_rel_drift = max(run.max_rel_drift, drift)
+    run._track_drift()
     return run
 
 
@@ -265,17 +304,12 @@ def join(
         raise MembershipError(f"node {new_node} is already a member")
     if anchor not in run.order:
         raise MembershipError(f"anchor node {anchor} is not a member")
-    run.topology = run.topology.with_join(new_node, anchor)
     pos = run.order.index(anchor) + 1
     run.order.insert(pos, new_node)
     run.x = np.insert(run.x, pos, secret)
     run.secrets[new_node] = secret
-    if schedule is not None:
-        run.schedules[new_node] = schedule
-    elif new_node not in run.schedules:
-        run.schedules[new_node] = run.schedules[anchor]
+    run.schedules[new_node] = schedule or run.schedules.get(new_node) or run.schedules[anchor]
     run.target = math.fsum(run.secrets[i] for i in run.order)
-    run._beta_cache = None
     run._open_segment()
     return run
 
@@ -287,45 +321,21 @@ def run_si(
     record_states: bool = True,
     source: NoiseSource | None = None,
 ) -> ProtocolRun:
-    """Execute K synchronous rounds with membership events at their times."""
-    n = len(config.secrets)
-    topo = build_ring(n)
-    run = ProtocolRun(
-        topo,
-        secrets=dict(zip(topo.nodes, config.secrets)),
-        schedules=dict(zip(topo.nodes, config.schedules)),
-        distribution=config.distribution,
-        source=source or NoiseSource(config.rng_seed),
-        trial=trial,
-        record_trace=record_trace,
-        record_states=record_states,
-    )
-    joins_at: dict[int, list[Join]] = {}
-    leave_at: dict[int, Leave] = {}
-    for ev in config.events:
-        if isinstance(ev, Join):
-            joins_at.setdefault(ev.time, []).append(ev)
-        else:
-            if ev.time in leave_at:
-                raise ConfigError(f"multiple leave events at time {ev.time}")
-            leave_at[ev.time] = ev
-
-    boundaries = sorted(
-        {0, config.steps}
-        | set(joins_at)
-        | set(leave_at)
-        | {t + 1 for t in leave_at if t + 1 < config.steps}
-    )
-    for lo, hi in zip(boundaries, boundaries[1:]):
-        for ev in joins_at.get(lo, ()):
-            join(run, ev.node, ev.anchor, ev.secret, ev.schedule)
-        start = lo
-        if lo in leave_at:
-            leave(run, leave_at[lo].node)
-            start = lo + 1
-        run.prime_betas(start, hi)
-        for _ in range(start, hi):
-            si_step(run)
+    """Execute K synchronous rounds with membership events at their times:
+    trial `trial` of `simulate`, returned as a `ProtocolRun`."""
+    run = ProtocolRun.start(config, source, trial, record_trace, record_states)
+    phases = config.phases()
+    storage = [np.empty((p.stop_k - p.start_k + 1, 1, p.n)) for p in phases]
+    record = run._record if record_trace else None
+    run.max_rel_drift = simulate(config, 1, storage, trial, run.source, record)
+    run.segments = []
+    for p, states in zip(phases, storage):
+        run.secrets.update(zip(p.order, p.secrets))
+        run.schedules.update(zip(p.order, p.schedules))
+        rows = list(states[:, 0]) if record_states else []
+        run.segments.append(Segment(p.start_k, p.order, p.target, rows))
+    run.order, run.target, run.k = list(p.order), p.target, config.steps
+    run.x = states[-1, 0].copy()
     return run
 
 
@@ -382,18 +392,8 @@ def run_ai(
     if horizon <= 0:
         raise ConfigError(f"horizon must be positive, got {horizon}")
     n = len(config.secrets)
-    topo = build_ring(n)
-    source = NoiseSource(config.rng_seed)
-    run = ProtocolRun(
-        topo,
-        secrets=dict(zip(topo.nodes, config.secrets)),
-        schedules=dict(zip(topo.nodes, config.schedules)),
-        distribution=config.distribution,
-        source=source,
-        trial=trial,
-        record_trace=record_trace,
-        record_states=record_states,
-    )
+    run = ProtocolRun.start(config, None, trial, record_trace, record_states)
+    source = run.source
     pos = {node: j for j, node in enumerate(run.order)}
     tick_counts = {node: 0 for node in run.order}
 

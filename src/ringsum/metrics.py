@@ -5,6 +5,10 @@ member count). The window sum over states x_i(k-n+1..k) equals the protocol's
 forward-looking window starting at k-n+1, so results carry both indices.
 Windows reset on every membership change; errors are always measured against
 the current-phase member sum.
+
+Monte Carlo trials are simulated together: `engine.simulate` writes all
+trials' states into one tensor per phase (trials-major with membership
+events, step-major without), and the window sums are formed in place there.
 """
 from __future__ import annotations
 
@@ -14,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ProtocolConfig, RingSumError
-from .engine import ProtocolRun, run_si
-from .noise import NoiseSource
+from .engine import ProtocolRun, run_si, simulate  # noqa: F401 (run_si stays importable here)
 
 
 class WindowNotFullError(RingSumError, ValueError):
@@ -39,11 +42,21 @@ class SegmentWindows:
         return np.abs(self.y - self.target).sum(axis=1)
 
 
-def _sliding_window_sums(states: np.ndarray, width: int) -> np.ndarray:
-    """Row t of the result sums rows t..t+width-1 of `states`."""
-    cum = np.cumsum(states, axis=0, dtype=np.float64)
-    out = cum[width - 1 :].copy()
-    out[1:] -= cum[:-width]
+def _windows(stretches) -> list[SegmentWindows]:
+    """Full-window estimates of each (start_k, order, target, states) stretch;
+    the step-indexed `states` (steps, ..., n) become the window sums in place."""
+    out = []
+    for start_k, order, target, states in stretches:
+        n = len(order)
+        if len(states) < n:
+            continue
+        np.cumsum(states, axis=0, out=states)
+        # Descending blocks of at most n rows never overlap their source.
+        for hi in range(len(states), n, -n):
+            lo = max(n, hi - n)
+            states[lo:hi] -= states[lo - n : hi - n]
+        k_end = start_k + np.arange(n - 1, len(states))
+        out.append(SegmentWindows(order, target, k_end, np.moveaxis(states[n - 1 :], 0, -2)))
     return out
 
 
@@ -51,16 +64,10 @@ def window_sums(run: ProtocolRun) -> list[SegmentWindows]:
     """Per-segment estimator series for a completed run with recorded states."""
     if not run.record_states:
         raise WindowNotFullError("run was executed without state recording")
-    result = []
-    for seg in run.segments:
-        states = seg.state_matrix()
-        n = seg.n
-        if len(states) < n:
-            continue
-        y = _sliding_window_sums(states, n)
-        k_end = seg.start_k + np.arange(n - 1, len(states))
-        result.append(SegmentWindows(seg.order, seg.target, k_end, y))
-    return result
+    return _windows(
+        (seg.start_k, seg.order, seg.target, np.array(seg.states, dtype=np.float64))
+        for seg in run.segments
+    )
 
 
 def estimator(run: ProtocolRun, node: int, k: int) -> float:
@@ -122,71 +129,24 @@ def _dense_states(config: ProtocolConfig, trials: int) -> tuple[np.ndarray, floa
     Same noise stream coordinates as the scalar engine, so trajectories match
     run_si(config, trial=t) bit for bit.
     """
-    n = len(config.secrets)
-    K = config.steps
-    src = NoiseSource(config.rng_seed)
-    from .engine import scale_column
-
-    nodes = np.arange(1, n + 1, dtype=np.uint64)
-    ks = np.arange(K, dtype=np.uint64)
-    scales = np.empty((K, n))
-    for j, sched in enumerate(config.schedules):
-        scales[:, j] = scale_column(sched, ks)
-    betas = src.sample(
-        nodes[None, None, :],
-        np.arange(K, dtype=np.uint64)[:, None, None],
-        np.arange(trials, dtype=np.uint64)[None, :, None],
-        scales[:, None, :],
-        config.distribution,
-    )
-    states = np.empty((K + 1, trials, n))
-    states[0] = np.asarray(config.secrets)
-    x = states[0].copy()
-    total = config.total
-    denom = max(1.0, abs(total))
-    max_drift = 0.0
-    for k in range(K):
-        d = x - betas[k]
-        x = betas[k] + np.roll(d, 1, axis=1)
-        states[k + 1] = x
-        drift = np.abs(x.sum(axis=1) - total).max() / denom
-        if drift > max_drift:
-            max_drift = drift
-    return states, max_drift
+    states = np.empty((config.steps + 1, trials, len(config.secrets)))
+    return states, simulate(config, trials, [states])
 
 
 def trial_windows(config: ProtocolConfig, trials: int) -> list[SegmentWindows]:
     """Estimator series stacked across trials: y has shape (trials, steps, n)."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    if not config.events:
-        states, _ = _dense_states(config, trials)
-        n = len(config.secrets)
-        cum = np.cumsum(states, axis=0)
-        y = cum[n - 1 :].copy()
-        y[1:] -= cum[:-n]
-        k_end = np.arange(n - 1, config.steps + 1)
-        return [
-            SegmentWindows(
-                tuple(range(1, n + 1)),
-                config.total,
-                k_end,
-                np.swapaxes(y, 0, 1),
-            )
-        ]
-    out: list[SegmentWindows] = []
-    for t in range(trials):
-        run = run_si(config, trial=t, record_trace=False)
-        parts = window_sums(run)
-        if t == 0:
-            for p in parts:
-                stacked = np.empty((trials,) + p.y.shape)
-                stacked[0] = p.y
-                out.append(SegmentWindows(p.order, p.target, p.k_end, stacked))
-        else:
-            for slot, p in zip(out, parts):
-                slot.y[t] = p.y
-    return out
+    phases = config.phases()
+    # The layout decides the bytes of the aggregates: reductions over trials
+    # sum a C-ordered (trials, steps, n) tensor sequentially, but a
+    # transposed step-major tensor pairwise. Keep the two established paths.
+    if config.events:
+        states = [np.empty((trials, p.stop_k - p.start_k + 1, p.n)).swapaxes(0, 1) for p in phases]
+        simulate(config, trials, states)
+    else:
+        states = [_dense_states(config, trials)[0]]
+    return _windows((p.start_k, p.order, p.target, v) for p, v in zip(phases, states))
 
 
 def aggregate_trials(config: ProtocolConfig, trials: int) -> ErrorAggregate:
@@ -196,7 +156,9 @@ def aggregate_trials(config: ProtocolConfig, trials: int) -> ErrorAggregate:
     parts = trial_windows(config, trials)
     ks, maes, mae_ses, sumvars, sv_ses = [], [], [], [], []
     for p in parts:
-        sae = np.abs(p.y - p.target).sum(axis=2)  # (trials, steps)
+        dev = p.y - p.target
+        sae = np.abs(dev, out=dev).sum(axis=2)  # (trials, steps)
+        del dev  # free it before var() allocates its own temporary
         maes.append(sae.mean(axis=0))
         mae_ses.append(sae.std(axis=0, ddof=1) / math.sqrt(trials))
         var = p.y.var(axis=0, ddof=1)  # (steps, n)

@@ -58,11 +58,11 @@ class NoiseSchedule:
     phi: float | None = None
 
     def __post_init__(self):
-        if self.c < 0:
-            raise ConfigError(f"noise magnitude c must be >= 0, got {self.c}")
+        if not (math.isfinite(self.c) and self.c >= 0):
+            raise ConfigError(f"noise magnitude c must be finite and >= 0, got {self.c}")
         if self.family is Family.HARMONIC:
-            if self.d is None or self.d < 0:
-                raise ConfigError(f"harmonic schedule needs offset d >= 0, got {self.d}")
+            if self.d is None or not (math.isfinite(self.d) and self.d >= 0):
+                raise ConfigError(f"harmonic schedule needs a finite offset d >= 0, got {self.d}")
             if self.phi is not None:
                 raise ConfigError("harmonic schedule must not set phi")
         elif self.family is Family.GEOMETRIC:
@@ -198,6 +198,31 @@ MembershipEvent = Leave | Join
 
 
 @dataclass(frozen=True)
+class Phase:
+    """A maximal stretch of constant membership: the states at start_k..stop_k.
+
+    Round stop_k is the departure round of `leaver` if set; `joined` was
+    inserted right before start_k. `secrets`, `schedules` align with `order`.
+    """
+
+    start_k: int
+    stop_k: int
+    order: tuple[int, ...]
+    secrets: tuple[float, ...]
+    schedules: tuple[NoiseSchedule, ...]
+    leaver: int | None = None
+    joined: int | None = None
+
+    @property
+    def n(self) -> int:
+        return len(self.order)
+
+    @property
+    def target(self) -> float:
+        return math.fsum(self.secrets)
+
+
+@dataclass(frozen=True)
 class ProtocolConfig:
     """Full description of one protocol run.
 
@@ -220,6 +245,9 @@ class ProtocolConfig:
             raise ConfigError(
                 f"{len(self.schedules)} schedules for {n} secrets; one per node required"
             )
+        joining = tuple(e.secret for e in self.events if isinstance(e, Join))
+        if not all(map(math.isfinite, (*self.secrets, *joining))):
+            raise ConfigError(f"secrets must be finite, got {(*self.secrets, *joining)}")
         families = {s.family for s in self.schedules}
         if len(families) != 1:
             raise ConfigError("schedules must share a single family across nodes")
@@ -231,6 +259,41 @@ class ProtocolConfig:
         for e in self.events:
             if not 0 <= e.time < self.steps:
                 raise ConfigError(f"event time {e.time} outside [0, {self.steps})")
+        self.phases()
+
+    def phases(self) -> tuple[Phase, ...]:
+        """The constant-membership phases; at one time joins apply first, then
+        the leave, whose departure round replaces that round. Raises ConfigError
+        for an event the member set cannot take (ring size is left to the
+        synchronous engine: the asynchronous one rejects every event)."""
+        order = list(range(1, len(self.secrets) + 1))
+        secrets, schedules = dict(zip(order, self.secrets)), dict(zip(order, self.schedules))
+        phases, start, joined, left_at = [], 0, None, None
+
+        def close(stop_k: int, leaver: int | None = None) -> None:
+            phases.append(Phase(start, stop_k, tuple(order), tuple(secrets[i] for i in order),
+                                tuple(schedules[i] for i in order), leaver, joined))
+
+        for e in sorted(self.events, key=lambda e: (e.time, isinstance(e, Leave))):
+            if isinstance(e, Leave):
+                if e.time == left_at:
+                    raise ConfigError(f"multiple leave events at time {e.time}")
+                if e.node not in order:
+                    raise ConfigError(f"leave at time {e.time}: node {e.node} is not a member")
+                close(e.time, leaver=e.node)
+                start, joined, left_at = e.time + 1, None, e.time
+                order.remove(e.node)
+                continue
+            if e.node in order or e.anchor not in order:
+                raise ConfigError(f"join at time {e.time}: node {e.node} must be new "
+                                  f"and anchor {e.anchor} a member")
+            close(e.time)
+            start, joined = e.time, e.node
+            order.insert(order.index(e.anchor) + 1, e.node)
+            secrets[e.node] = e.secret
+            schedules[e.node] = e.schedule or schedules.get(e.node) or schedules[e.anchor]
+        close(self.steps)
+        return tuple(phases)
 
     @classmethod
     def uniform(

@@ -140,6 +140,14 @@ class TestAudit:
         result = dp_audit(cfg, delta=0.0, K=1, samples=200_000)
         assert result.observed <= result.noise_floor
 
+    def test_harmonic_d_zero_audits_against_start_shifted_budget(self):
+        # The engine substitutes d = 1 for the k = 0 draw, so the audit must
+        # run and hold the traces to the budget that includes that draw.
+        cfg = self._config(NoiseSchedule.harmonic(1.0, 0.0))
+        result = dp_audit(cfg, delta=1.0, K=2, samples=200_000)
+        assert result.epsilon == pytest.approx(2.0)
+        assert result.observed <= result.epsilon + 0.15
+
     def test_large_instances_refused(self):
         cfg = ProtocolConfig.uniform(
             [1.0] * 5, NoiseSchedule.harmonic(1.0, 1.0), Distribution.LAPLACE, 3, 0

@@ -1,0 +1,181 @@
+"""The trial-batched synchronous kernel against the round-by-round API."""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ringsum import (
+    ConfigError,
+    Distribution,
+    Join,
+    Leave,
+    NoiseSchedule,
+    NoiseSource,
+    ProtocolConfig,
+    ProtocolRun,
+    build_ring,
+    join,
+    leave,
+    run_si,
+    si_step,
+    window_sums,
+)
+from ringsum.engine import _fold_drift, simulate
+from ringsum.metrics import _dense_states, trial_windows
+
+
+@st.composite
+def churn_configs(draw):
+    """A config with random leaves and joins that the member set can take."""
+    n = draw(st.integers(4, 7))
+    steps = draw(st.integers(2, 50))
+    if draw(st.booleans()):
+        # d near 0 (but not 0) makes v(0) astronomically large; the drift
+        # bound is relative to the member sum, not to the noise scale.
+        d = draw(st.one_of(st.just(0.0), st.floats(0.5, 3.0)))
+        schedule = NoiseSchedule.harmonic(draw(st.floats(0.1, 100.0)), d)
+    else:
+        schedule = NoiseSchedule.geometric(draw(st.floats(0.1, 100.0)), draw(st.floats(0.1, 0.95)))
+    times = draw(st.lists(st.integers(0, steps - 1), max_size=4, unique=True))
+    members, gone, fresh = list(range(1, n + 1)), [], n + 1
+    events = []
+    for t in sorted(times):
+        if len(members) > 3 and draw(st.booleans()):
+            node = draw(st.sampled_from(members))
+            members.remove(node)
+            gone.append(node)
+            events.append(Leave(t, node))
+        else:
+            if gone and draw(st.booleans()):
+                node = gone.pop(draw(st.integers(0, len(gone) - 1)))
+            else:
+                node, fresh = fresh, fresh + 1
+            anchor = draw(st.sampled_from(members))
+            members.insert(members.index(anchor) + 1, node)
+            events.append(Join(t, node, anchor, draw(st.floats(-100.0, 100.0))))
+    secrets = draw(st.lists(st.floats(-100.0, 100.0), min_size=n, max_size=n))
+    dist = draw(st.sampled_from(list(Distribution)))
+    return ProtocolConfig.uniform(
+        secrets, schedule, dist, steps, draw(st.integers(0, 2**31)), tuple(events)
+    )
+
+
+def _replay(config, trial):
+    """run_si rebuilt from single rounds: the reference for the kernel."""
+    topo = build_ring(len(config.secrets))
+    run = ProtocolRun(
+        topo,
+        secrets=dict(zip(topo.nodes, config.secrets)),
+        schedules=dict(zip(topo.nodes, config.schedules)),
+        distribution=config.distribution,
+        source=NoiseSource(config.rng_seed),
+        trial=trial,
+    )
+    while run.k < config.steps:
+        at_k = [e for e in config.events if e.time == run.k]
+        for e in at_k:
+            if isinstance(e, Join):
+                join(run, e.node, e.anchor, e.secret, e.schedule)
+        leaves = [e for e in at_k if isinstance(e, Leave)]
+        if leaves:
+            leave(run, leaves[0].node)
+        else:
+            si_step(run)
+    return run
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=churn_configs(), trials=st.integers(1, 4))
+def test_batched_rows_equal_single_trial_runs(config, trials):
+    storage = [np.empty((p.stop_k - p.start_k + 1, trials, p.n)) for p in config.phases()]
+    assert simulate(config, trials, storage) <= 1e-10
+    windows = trial_windows(config, trials)
+    for t in range(trials):
+        run = run_si(config, trial=t)
+        assert run.max_rel_drift <= 1e-10
+        singles = window_sums(run)
+        assert len(singles) == len(windows)
+        for batched, single in zip(windows, singles):
+            assert batched.order == single.order
+            assert np.array_equal(batched.k_end, single.k_end)
+            assert np.array_equal(batched.y[t], single.y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=churn_configs(), trial=st.integers(0, 3))
+def test_run_si_equals_round_by_round_replay(config, trial):
+    run, ref = run_si(config, trial=trial), _replay(config, trial)
+    assert run.trace == ref.trace
+    assert run.members == ref.members
+    assert np.array_equal(run.x, ref.x)
+    assert run.max_rel_drift == ref.max_rel_drift
+    assert [(s.start_k, s.order, s.target) for s in run.segments] == [
+        (s.start_k, s.order, s.target) for s in ref.segments
+    ]
+    for a, b in zip(run.segments, ref.segments):
+        assert np.array_equal(a.state_matrix(), b.state_matrix())
+
+
+def test_events_at_one_time_and_a_leave_in_the_last_round():
+    # Joins apply before the leave at the same time; the strategy above only
+    # draws distinct event times.
+    config = ProtocolConfig.uniform(
+        np.linspace(-50.0, 50.0, 8), NoiseSchedule.harmonic(1000.0, 1.0),
+        Distribution.GAUSSIAN, 300, 3,
+        events=(Leave(40, 3), Join(90, 3, 8, 7.0), Join(90, 12, 3, -2.0), Leave(90, 8),
+                Leave(299, 5)),
+    )
+    phases = config.phases()
+    storage = [np.empty((p.stop_k - p.start_k + 1, 6, p.n)) for p in phases]
+    assert simulate(config, 6, storage) <= 1e-10
+    for t in (0, 5):
+        run, ref = run_si(config, trial=t), _replay(config, t)
+        assert run.trace == ref.trace
+        for seg, states in zip(run.segments, storage):
+            assert np.array_equal(seg.state_matrix(), states[:, t])
+
+
+class TestNonFinite:
+    def test_overflowing_noise_drift_is_nan_not_zero(self):
+        cfg = ProtocolConfig.uniform(
+            [1.0, 2.0, 3.0], NoiseSchedule.harmonic(1e308, 1.0), Distribution.GAUSSIAN, 5, 0
+        )
+        with np.errstate(all="ignore"):
+            _, dense_drift = _dense_states(cfg, trials=3)
+            single_drift = run_si(cfg).max_rel_drift
+        assert math.isnan(dense_drift)
+        assert math.isnan(single_drift)
+
+    def test_nan_drift_is_kept_once_seen(self):
+        assert math.isnan(_fold_drift(math.nan, np.zeros((2, 3)), 0.0))
+        assert math.isnan(_fold_drift(0.0, np.array([[math.nan, 1.0, 2.0]]), 3.0))
+
+    def test_round_by_round_drift_propagates_nan(self):
+        topo = build_ring(3)
+        run = ProtocolRun(
+            topo,
+            secrets={1: math.nan, 2: 2.0, 3: 3.0},
+            schedules=dict.fromkeys(topo.nodes, NoiseSchedule.harmonic(1.0, 1.0)),
+            distribution=Distribution.GAUSSIAN,
+            source=NoiseSource(0),
+        )
+        si_step(run)
+        si_step(run)
+        assert math.isnan(run.max_rel_drift)
+
+
+class _NoNoise:
+    def sample(self, *args, **kwargs):
+        raise AssertionError("a round ran before the config was rejected")
+
+
+def test_shrink_below_three_rejected_before_any_round():
+    cfg = ProtocolConfig.uniform(
+        [1.0, 2.0, 3.0], NoiseSchedule.harmonic(1.0, 1.0), Distribution.GAUSSIAN, 5000, 0,
+        events=(Leave(4000, node=1),),
+    )
+    with pytest.raises(ConfigError):
+        run_si(cfg, source=_NoNoise())
+    with pytest.raises(ConfigError):
+        trial_windows(cfg, trials=2)

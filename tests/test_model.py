@@ -51,6 +51,11 @@ class TestNoiseSchedule:
             dict(family=Family.GEOMETRIC, c=1.0, phi=1.0),
             dict(family=Family.GEOMETRIC, c=1.0, phi=0.5, d=1.0),
             dict(family=Family.GEOMETRIC, c=1.0, phi=None),
+            dict(family=Family.HARMONIC, c=math.inf, d=1.0),
+            dict(family=Family.HARMONIC, c=math.nan, d=1.0),
+            dict(family=Family.HARMONIC, c=1.0, d=math.inf),
+            dict(family=Family.GEOMETRIC, c=math.inf, phi=0.5),
+            dict(family=Family.GEOMETRIC, c=1.0, phi=math.nan),
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
@@ -185,3 +190,70 @@ class TestProtocolConfig:
             ProtocolConfig.uniform(
                 [1, 2], NoiseSchedule.harmonic(1.0, 1.0), Distribution.GAUSSIAN, 10, 0
             )
+
+    @pytest.mark.parametrize("secrets", [[math.nan, 2.0, 3.0], [1.0, math.inf, 3.0]])
+    def test_non_finite_secrets_rejected(self, secrets):
+        with pytest.raises(ConfigError):
+            ProtocolConfig.uniform(
+                secrets, NoiseSchedule.harmonic(1.0, 1.0), Distribution.GAUSSIAN, 10, 0
+            )
+
+    def test_non_finite_join_secret_rejected(self):
+        with pytest.raises(ConfigError):
+            ProtocolConfig.uniform(
+                [1, 2, 3], NoiseSchedule.harmonic(1.0, 1.0), Distribution.GAUSSIAN, 10, 0,
+                events=(Join(4, 9, anchor=1, secret=math.nan),),
+            )
+
+
+class TestMembershipEventPass:
+    """Invalid membership events fail when the config is built, before any round."""
+
+    def _config(self, events, n=5, steps=6000):
+        return ProtocolConfig.uniform(
+            range(1, n + 1), NoiseSchedule.harmonic(1.0, 1.0), Distribution.GAUSSIAN,
+            steps, 0, events=events,
+        )
+
+    @pytest.mark.parametrize(
+        "events",
+        [
+            (Leave(5000, node=9),),                               # not a member
+            (Leave(10, node=2), Leave(5000, node=2)),             # already gone
+            (Join(5000, 3, anchor=1, secret=0.0),),               # already a member
+            (Join(5000, 9, anchor=7, secret=0.0),),               # anchor missing
+            (Leave(10, node=2), Join(5000, 9, anchor=2, secret=0.0)),  # anchor departed
+            (Leave(5000, node=1), Leave(5000, node=2)),           # two leaves at once
+        ],
+        ids=["leave-non-member", "leave-departed", "join-member", "join-no-anchor",
+             "join-departed-anchor", "two-leaves"],
+    )
+    def test_invalid_event_rejected_at_construction(self, events):
+        with pytest.raises(ConfigError):
+            self._config(events)
+
+    def test_phases_follow_the_member_set(self):
+        cfg = self._config(
+            (Leave(10, node=5), Join(20, 5, anchor=4, secret=5.0), Join(20, 8, anchor=1, secret=2.0)),
+            steps=30,
+        )
+        phases = cfg.phases()
+        assert [(p.start_k, p.stop_k) for p in phases] == [(0, 10), (11, 20), (20, 20), (20, 30)]
+        assert [p.order for p in phases] == [
+            (1, 2, 3, 4, 5), (1, 2, 3, 4), (1, 2, 3, 4, 5), (1, 8, 2, 3, 4, 5)
+        ]
+        assert [p.leaver for p in phases] == [5, None, None, None]
+        assert [p.joined for p in phases] == [None, None, 5, 8]
+        assert phases[-1].target == 17.0
+
+    def test_returning_node_keeps_its_schedule(self):
+        own = NoiseSchedule.harmonic(7.0, 2.0)
+        cfg = ProtocolConfig(
+            (1.0, 2.0, 3.0, 4.0),
+            (NoiseSchedule.harmonic(1.0, 1.0),) * 3 + (own,),
+            Distribution.GAUSSIAN, 30, 0,
+            events=(Leave(5, node=4), Join(10, 4, anchor=1, secret=4.0), Join(12, 9, anchor=4, secret=0.0)),
+        )
+        last = cfg.phases()[-1]
+        assert last.order == (1, 4, 9, 2, 3)
+        assert last.schedules[1] is own and last.schedules[2] is own
