@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
+import math
 import os
 import sys
 from pathlib import Path
@@ -83,16 +83,24 @@ def _parse_events(text: str):
 def load_scenario(path: str | Path, seed_override: int | None = None, trials_override: int | None = None):
     """Parse a scenario file into (name, protocol, ProtocolConfig, extras)."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
     try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read config file {path}")
         sc = parser["scenario"]
         name = sc.get("name", Path(path).stem)
         protocol = sc.get("protocol", "si").lower()
         steps = sc.getint("steps")
         trials = trials_override if trials_override is not None else sc.getint("trials", 1)
         seed = seed_override if seed_override is not None else sc.getint("seed", 0)
+        rate, horizon = sc.getfloat("rate", 1.0), sc.getfloat("horizon", fallback=None)
+        if trials < 1:
+            raise ConfigError(f"trials must be >= 1, got {trials}")
+        if protocol not in ("si", "ai"):
+            raise ConfigError(f"unknown protocol {protocol!r} (expected si or ai)")
+        if protocol == "ai" and not (horizon is not None and 0 < horizon < math.inf):
+            raise ConfigError(f"[scenario] protocol = ai needs a finite horizon > 0, got {horizon}")
+        if protocol == "ai" and not 0 < rate < math.inf:
+            raise ConfigError(f"[scenario] rate must be finite and > 0, got {rate}")
 
         secrets_raw = parser["secrets"].get("values")
         if secrets_raw is None:
@@ -114,12 +122,7 @@ def load_scenario(path: str | Path, seed_override: int | None = None, trials_ove
             events = _parse_events(parser["events"].get("list", ""))
 
         config = ProtocolConfig.uniform(secrets, schedule, distribution, steps, seed, events)
-        extras = {
-            "trials": trials,
-            "rate": sc.getfloat("rate", 1.0),
-            "horizon": sc.getfloat("horizon", fallback=None),
-        }
-        return name, protocol, config, extras
+        return name, protocol, config, {"trials": trials, "rate": rate, "horizon": horizon}
     except (configparser.Error, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, RingSumError):
             raise
@@ -128,51 +131,52 @@ def load_scenario(path: str | Path, seed_override: int | None = None, trials_ove
 
 # -- artifact writers ----------------------------------------------------------
 
+_BLOCK_ROWS = 2048  # rows formatted at once, so the strings held stay small
 
-def _write_trajectories(path: Path, run) -> None:
-    parts = metrics.window_sums(run)
-    lookup = {}
-    for p in parts:
-        for row, k in enumerate(p.k_end):
-            lookup[int(k)] = (p, row)
+
+def _write_csv(path: Path, header: str, blocks) -> None:
+    """Write the header, then each block of columns: row i holds element i
+    of every column, and blank fields for the header's columns past them.
+    Values go through repr (shortest round trip for floats) and rows end in
+    CRLF, the bytes csv.writer gives (no field here needs quoting)."""
+    fields = header.count(",") + 1
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "node", "x", "y", "window_start_k", "abs_error"])
-        for seg in run.segments:
-            mat = seg.state_matrix()
-            for t in range(len(mat)):
-                k = seg.start_k + t
-                win = lookup.get(k)
-                for j, node in enumerate(seg.order):
-                    if win is not None and win[0].order == seg.order:
-                        p, row = win
-                        y = p.y[row, j]
-                        w.writerow(
-                            [k, node, _fmt(mat[t, j]), _fmt(y),
-                             k - seg.n + 1, _fmt(abs(y - seg.target))]
-                        )
-                    else:
-                        w.writerow([k, node, _fmt(mat[t, j]), "", "", ""])
+        fh.write(header + "\r\n")
+        for cols in blocks:
+            end = "," * (fields - len(cols)) + "\r\n"
+            for i in range(0, len(cols[0]), _BLOCK_ROWS):
+                strs = (map(repr, c[i : i + _BLOCK_ROWS].tolist()) for c in cols)
+                fh.write(end.join(map(",".join, zip(*strs))) + end)
+
+
+def _trajectory_blocks(run, parts):
+    """Columns of trajectories.csv: per segment, the rows before its first
+    full window, then the rows with one. A join step is listed in both of
+    its segments, with a window only in the one it ends (the next segment
+    has another order and has not filled a window yet)."""
+    windows = {(int(p.k_start[0]), p.order): p.y.ravel() for p in parts}
+    for seg in run.segments:
+        mat = seg.state_matrix()
+        k = np.repeat(np.arange(seg.start_k, seg.start_k + len(mat)), seg.n)
+        cols = (k, np.tile(seg.order, len(mat)), mat.ravel())
+        cut = min(seg.n - 1, len(mat)) * seg.n
+        yield tuple(c[:cut] for c in cols)
+        y = windows.get((seg.start_k, seg.order))
+        if y is not None:
+            yield (*(c[cut:] for c in cols), y, k[cut:] - (seg.n - 1), np.abs(y - seg.target))
+
+
+def _write_trajectories(path: Path, run, parts) -> None:
+    _write_csv(path, "k,node,x,y,window_start_k,abs_error", _trajectory_blocks(run, parts))
 
 
 def _write_errors(path: Path, agg: metrics.ErrorAggregate) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "mean_abs_error", "mae_stderr", "sum_variance", "sum_variance_stderr"])
-        for i, k in enumerate(agg.ks):
-            w.writerow(
-                [int(k), _fmt(agg.mean_abs_error[i]), _fmt(agg.mae_stderr[i]),
-                 _fmt(agg.sum_variance[i]), _fmt(agg.sum_variance_stderr[i])]
-            )
+    _write_csv(path, "k,mean_abs_error,mae_stderr,sum_variance,sum_variance_stderr",
+               [(agg.ks, agg.mean_abs_error, agg.mae_stderr, agg.sum_variance, agg.sum_variance_stderr)])
 
 
-def _write_single_errors(path: Path, run) -> None:
-    ks, errs = metrics.error_series(run)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "sum_abs_error"])
-        for k, e in zip(ks, errs):
-            w.writerow([int(k), _fmt(e)])
+def _write_single_errors(path: Path, ks: np.ndarray, errs: np.ndarray) -> None:
+    _write_csv(path, "k,sum_abs_error", [(ks, errs)])
 
 
 def _check_line(name: str, empirical: float, bound: float) -> str:
@@ -190,24 +194,21 @@ def _run_simulate(args) -> int:
                           f"seed {config.rng_seed}", f"trials {trials}"]
 
     if protocol == "ai":
-        horizon = extras["horizon"]
-        if horizon is None:
-            raise ConfigError("[scenario] horizon is required for protocol = ai")
-        run = engine.run_ai(config, extras["rate"], horizon)
-        _write_trajectories(out_dir / "trajectories.csv", run)
-        _write_single_errors(out_dir / "errors.csv", run)
-        summary.append(_check_line("conservation", run.max_rel_drift, CONSERVATION_TOL))
-    elif protocol == "si":
+        run = engine.run_ai(config, extras["rate"], extras["horizon"])
+    else:
         run = engine.run_si(config, record_trace=False)
-        _write_trajectories(out_dir / "trajectories.csv", run)
-        agg = None
-        if trials >= 2:
-            agg = metrics.aggregate_trials(config, trials)
-            _write_errors(out_dir / "errors.csv", agg)
-        else:
-            _write_single_errors(out_dir / "errors.csv", run)
-        summary.append(_check_line("conservation", run.max_rel_drift, CONSERVATION_TOL))
+    parts = metrics.window_sums(run)
+    _write_trajectories(out_dir / "trajectories.csv", run, parts)
+    ks, errs = metrics.error_series(run, parts)
+    del parts  # freed before the Monte Carlo batch allocates its states
+    agg = metrics.aggregate_trials(config, trials) if protocol == "si" and trials >= 2 else None
+    if agg is not None:
+        _write_errors(out_dir / "errors.csv", agg)
+    else:
+        _write_single_errors(out_dir / "errors.csv", ks, errs)
+    summary.append(_check_line("conservation", run.max_rel_drift, CONSERVATION_TOL))
 
+    if protocol == "si":
         sched_agg = analysis.ScheduleAggregates.from_schedules(config.schedules)
         for i, seg in enumerate(run.segments, 1):
             summary.append(
@@ -222,7 +223,6 @@ def _run_simulate(args) -> int:
                 except KeyError:
                     pass
             else:
-                ks, errs = metrics.error_series(run)
                 hits = np.flatnonzero(ks == last_k)
                 if hits.size:
                     empirical, se = float(errs[hits[0]]), 0.0
@@ -237,8 +237,6 @@ def _run_simulate(args) -> int:
                 f"EPSILON not-applicable (distribution={config.distribution.value}; "
                 "guarantee proven for laplace only)"
             )
-    else:
-        raise ConfigError(f"unknown protocol {protocol!r} (expected si or ai)")
 
     (out_dir / "summary.txt").write_text("\n".join(summary) + "\n")
     print(f"wrote {out_dir}/trajectories.csv, errors.csv, summary.txt")

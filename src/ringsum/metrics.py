@@ -87,9 +87,11 @@ def estimator(run: ProtocolRun, node: int, k: int) -> float:
     raise WindowNotFullError(f"no recorded window for node {node} ending at k={k}")
 
 
-def error_series(run: ProtocolRun) -> tuple[np.ndarray, np.ndarray]:
-    """(k_end, sum_i |y_i - target|) across all segments of one run."""
-    parts = window_sums(run)
+def error_series(run: ProtocolRun, parts: list[SegmentWindows] | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(k_end, sum_i |y_i - target|) across all segments of one run; `parts`
+    are the run's window sums if already computed."""
+    parts = window_sums(run) if parts is None else parts
     if not parts:
         return np.array([], dtype=int), np.array([])
     ks = np.concatenate([p.k_end for p in parts])

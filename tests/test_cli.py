@@ -3,8 +3,9 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ringsum import Distribution, Family, Join, Leave
+from ringsum import ConfigError, Distribution, Family, Join, Leave
 from ringsum.cli import load_scenario, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -75,6 +76,118 @@ class TestScenarioLoading:
         assert config.steps == 6000
         assert extras["trials"] == 100
         assert [type(e).__name__ for e in config.events] == ["Leave", "Join"]
+
+
+MALFORMED = {
+    "no_section_header": b"steps = 10\n[scenario]\n",
+    "duplicate_option": b"[scenario]\nsteps = 10\nsteps = 20\n",
+    "not_utf8": b"[scenario]\nname = caf\xe9\nsteps = 10\n",
+}
+
+AI = BASIC.replace("protocol = si", "protocol = ai")
+
+
+def _ai(*lines):
+    """The AI scenario with extra [scenario] lines (same indentation)."""
+    return AI.replace("seed = 3", "\n    ".join(("seed = 3", *lines)))
+
+
+INVALID_RUN_SETTINGS = {
+    "zero_trials": (BASIC.replace("trials = 5", "trials = 0"), ()),
+    "negative_trials_override": (BASIC, ("--trials", "-3")),
+    "unknown_protocol": (BASIC.replace("protocol = si", "protocol = xy"), ()),
+    "ai_without_horizon": (AI, ()),
+    "ai_zero_horizon": (_ai("horizon = 0"), ()),
+    "ai_infinite_horizon": (_ai("horizon = inf"), ()),
+    "ai_zero_rate": (_ai("horizon = 5", "rate = 0"), ()),
+    "ai_negative_rate": (_ai("horizon = 5", "rate = -1.5"), ()),
+    "ai_nan_rate": (_ai("horizon = 5", "rate = nan"), ()),
+}
+
+
+class TestConfigErrorsBeforeOutput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_file_is_a_config_error(self, tmp_path, monkeypatch, capsys, case):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(MALFORMED[case])
+        with pytest.raises(ConfigError):
+            load_scenario(path)
+        monkeypatch.setenv("RINGSUM_OUT", str(tmp_path / "out"))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", sorted(INVALID_RUN_SETTINGS))
+    def test_invalid_run_setting_fails_before_any_output(self, tmp_path, monkeypatch, capsys, case):
+        body, extra = INVALID_RUN_SETTINGS[case]
+        path = _write_scenario(tmp_path, body)
+        trials = int(extra[1]) if extra else None
+        with pytest.raises(ConfigError):
+            load_scenario(path, trials_override=trials)
+        monkeypatch.setenv("RINGSUM_OUT", str(tmp_path / "out"))
+        assert main(["simulate", "--config", str(path), *extra]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_valid_poisson_settings_load(self, tmp_path):
+        _, protocol, _, extras = load_scenario(_write_scenario(tmp_path, _ai("horizon = 5", "rate = 2.5")))
+        assert protocol == "ai"
+        assert (extras["rate"], extras["horizon"]) == (2.5, 5.0)
+
+
+EXAMPLE_LINES = (SCENARIOS / "example2.cfg").read_text().splitlines()
+
+# Tokens that sit on the edges of the grammar: empty, signs, non-finite
+# floats, huge integers, INI syntax characters, interpolation and NUL.
+TOKENS = ["", "0", "-1", "3", "1e999", "nan", "-inf", "99999999999999999999", "2.5", "ai",
+          "si", "[", "]", "=", ":", "%", "%(x)s", "#", "leave", "join", "\x00", "\u00e9"]
+
+
+@st.composite
+def mutated_example(draw):
+    """example2.cfg with a few line-level edits: deletions, duplications,
+    swaps, and lines or tokens replaced by random text or edge tokens."""
+    lines = list(EXAMPLE_LINES)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["delete", "duplicate", "swap", "text", "token"]))
+        if op == "delete" and len(lines) > 1:
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "text":
+            lines[i] = draw(st.text(max_size=30))
+        else:
+            words = lines[i].split(" ") or [""]
+            words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(TOKENS))
+            lines[i] = " ".join(words)
+    return "\n".join(lines).encode("utf-8", "surrogatepass")
+
+
+class TestScenarioParserFuzz:
+    """Whatever the bytes, load_scenario either loads them or raises ConfigError."""
+
+    @staticmethod
+    def _load(tmp_path, data: bytes):
+        path = tmp_path / "fuzz.cfg"
+        path.write_bytes(data)
+        try:
+            load_scenario(path)
+        except ConfigError:
+            pass
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.binary(max_size=300))
+    def test_arbitrary_bytes(self, tmp_path, data):
+        self._load(tmp_path, data)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=mutated_example())
+    def test_line_mutations_of_the_example(self, tmp_path, data):
+        self._load(tmp_path, data)
 
 
 class TestSimulateCommand:
