@@ -23,7 +23,6 @@ from .model import (
 )
 from .noise import NoiseSource, sample_beta
 from .engine import (
-    AsyncClock,
     MembershipError,
     ProtocolRun,
     join,

@@ -194,7 +194,7 @@ def _run_simulate(args) -> int:
                           f"seed {config.rng_seed}", f"trials {trials}"]
 
     if protocol == "ai":
-        run = engine.run_ai(config, extras["rate"], extras["horizon"])
+        run = engine.run_ai(config, extras["rate"], extras["horizon"], record_trace=False)
     else:
         run = engine.run_si(config, record_trace=False)
     parts = metrics.window_sums(run)

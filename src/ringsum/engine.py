@@ -9,6 +9,11 @@ The dynamics act alike on every Monte Carlo trial and each noise draw is a
 pure function of (seed, node, k, trial), so `simulate` advances all trials
 as one (trials, n) state, phase by phase; `run_si` is its one-trial view.
 
+The Poisson-clock variant `run_ai` draws each node's clock gaps and betas in
+one block per node and merges the ticks by (time, node id); only the
+hand-off runs tick by tick. Its scales take the scalar path, so the run is
+bit for bit the one drawn one tick at a time.
+
 Membership semantics:
   * A leave at step k replaces the round at k. The leaver sends its state
     minus its secret, its predecessor sends nothing and only accumulates the
@@ -24,7 +29,6 @@ privacy accounting mirrors.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -157,7 +161,7 @@ class Segment:
     start_k: int
     order: tuple[int, ...]
     target: float
-    states: list = field(default_factory=list)
+    states: list | np.ndarray = field(default_factory=list)
 
     @property
     def n(self) -> int:
@@ -238,7 +242,7 @@ class ProtocolRun:
         self._track_drift()
 
     def _track_drift(self):
-        # Scalar arithmetic, not _fold_drift: run_ai calls this on every tick.
+        # Scalar arithmetic, not _fold_drift: si_step calls this on every round.
         drift = abs(self.x.sum() - self.target) / max(1.0, abs(self.target))
         if not drift <= self.max_rel_drift and not math.isnan(self.max_rel_drift):
             self.max_rel_drift = drift  # a NaN drift is taken and then kept
@@ -342,30 +346,29 @@ def run_si(
 # -- asynchronous variant ---------------------------------------------------
 
 
-class AsyncClock:
-    """Merged per-node Poisson clocks; pops globally ordered tick events.
+# Clock gaps drawn per node in the first block; every further block doubles
+# the node's total until its last tick passes the horizon.
+FIRST_GAPS = 64
 
-    Timestamps are strictly increasing with ties broken by node identifier
-    (exact float ties are broken deterministically by the heap ordering).
-    """
 
-    def __init__(self, nodes, rate: float, source: NoiseSource, trial: int = 0):
-        if rate <= 0:
-            raise ConfigError(f"Poisson rate must be positive, got {rate}")
-        self.rate = rate
-        self.source = source
-        self.trial = trial
-        self._heap = [
-            (source.clock_gap(node, 0, trial, rate), node, 0) for node in nodes
-        ]
-        heapq.heapify(self._heap)
-
-    def next_tick(self) -> tuple[float, int, int]:
-        """(timestamp, node, local tick index) of the next tick; reschedules."""
-        t, node, m = heapq.heappop(self._heap)
-        gap = self.source.clock_gap(node, m + 1, self.trial, self.rate)
-        heapq.heappush(self._heap, (t + gap, node, m + 1))
-        return t, node, m
+def _poisson_ticks(source: NoiseSource, nodes, trial: int, rate: float, horizon: float):
+    """(times, node ids) of every tick up to `horizon`, in (time, node id) order."""
+    times = []
+    for node in nodes:
+        blocks, drawn, last = [], 0, 0.0
+        while last <= horizon:
+            size = max(drawn, FIRST_GAPS)
+            gaps = source.clock_gap(node, np.arange(drawn, drawn + size, dtype=np.uint64), trial, rate)
+            # Tick times are the running sums t_m = t_(m-1) + gap_m, the same
+            # sequential additions as one clock step at a time, across blocks too.
+            gaps[0] += last
+            blocks.append(np.cumsum(gaps))
+            drawn, last = drawn + size, blocks[-1][-1]
+        t = np.concatenate(blocks)
+        times.append(t[: np.searchsorted(t, horizon, side="right")])
+    ids, times = np.repeat(nodes, [len(t) for t in times]), np.concatenate(times)
+    order = np.lexsort((ids, times))
+    return times[order], ids[order]
 
 
 def run_ai(
@@ -384,45 +387,43 @@ def run_ai(
     member sum is conserved at every event. `tick_order` replaces the Poisson
     clock with an explicit node sequence (deterministic replay for testing).
 
+    Each node's clock gaps and betas are drawn up front, one block each. Ticks
+    merge by time, a tie going to the lower node id; only the hand-off runs
+    tick by tick. Scales take the scalar path (`scale_column` differs in the
+    last bits for geometric schedules), so the run is the tick-by-tick one.
+
     Membership events are not supported here; the rewiring rules above are
     defined for the synchronous rounds only.
     """
     if config.events:
         raise ConfigError("membership events are not supported by the asynchronous engine")
-    if horizon <= 0:
-        raise ConfigError(f"horizon must be positive, got {horizon}")
-    n = len(config.secrets)
+    for name, value in (("horizon", horizon), ("Poisson rate", rate)):
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{name} must be finite and > 0, got {value}")
     run = ProtocolRun.start(config, None, trial, record_trace, record_states)
-    source = run.source
-    pos = {node: j for j, node in enumerate(run.order)}
-    tick_counts = {node: 0 for node in run.order}
+    nodes, n = run.order, len(run.order)
+    if tick_order is None:
+        tick_order = _poisson_ticks(run.source, nodes, trial, rate, horizon)[1].tolist()
+    pos = {node: j for j, node in enumerate(nodes)}
+    js = np.array([pos[node] for node in tick_order], dtype=np.intp)
+    betas, run.tick_counts = np.empty(len(js)), {}
+    for j, node in enumerate(nodes):
+        mine = js == j
+        m = run.tick_counts[node] = int(mine.sum())
+        scales = [_scale_with_start_shift(run.schedules[node], k) for k in range(m)]
+        betas[mine] = run.source.sample(node, np.arange(m, dtype=np.uint64), trial, scales, run.distribution)
 
-    if tick_order is not None:
-        ticks = ((float(i + 1), node) for i, node in enumerate(tick_order))
-    else:
-        clock = AsyncClock(run.order, rate, source, trial)
-
-        def _poisson():
-            while True:
-                t, node, _ = clock.next_tick()
-                if t > horizon:
-                    return
-                yield t, node
-
-        ticks = _poisson()
-
-    for event_index, (t, node) in enumerate(ticks):
-        m = tick_counts[node]
-        tick_counts[node] = m + 1
-        scale = _scale_with_start_shift(run.schedules[node], m)
-        beta = run.source.sample(node, m, trial, scale, run.distribution)
-        j = pos[node]
-        d = run.x[j] - beta
-        run.x[j] = beta
-        run.x[(j + 1) % n] += d
-        if run.record_trace:
-            run.trace.append((event_index, node, float(d)))
-        run.k = event_index + 1
-        run._after_step()
-    run.tick_counts = tick_counts
+    x, succ = run.x.tolist(), [*range(1, n), 0]
+    states = np.empty((len(js) + 1, n))
+    states[0] = x
+    for i, (j, beta) in enumerate(zip(js.tolist(), betas.tolist()), 1):
+        x[succ[j]] += x[j] - beta
+        x[j] = beta
+        states[i] = x
+    if record_trace:  # each message again, from the state the tick started in
+        d = states[np.arange(len(js)), js] - betas
+        run.trace = list(zip(range(len(js)), [nodes[j] for j in js.tolist()], d.tolist()))
+    run.k, run.x = len(js), states[-1].copy()
+    run.max_rel_drift = _fold_drift(0.0, states[1:], run.target)
+    run.segments = [Segment(0, tuple(nodes), run.target, states if record_states else [])]
     return run

@@ -156,6 +156,8 @@ def aggregate_trials(config: ProtocolConfig, trials: int) -> ErrorAggregate:
     if trials < 2:
         raise ValueError("variance estimation needs at least 2 trials")
     parts = trial_windows(config, trials)
+    if not parts:  # no phase is long enough to fill a window
+        return ErrorAggregate(np.array([], dtype=int), *[np.array([])] * 4, trials=trials)
     ks, maes, mae_ses, sumvars, sv_ses = [], [], [], [], []
     for p in parts:
         dev = p.y - p.target

@@ -228,6 +228,21 @@ class TestSimulateCommand:
         _, second = self._simulate(tmp_path, monkeypatch, "--seed", "8")
         assert (second / "trajectories.csv").read_bytes() != blob
 
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_no_full_window_writes_header_only_errors(self, tmp_path, monkeypatch, trials):
+        # One step on three nodes fills no window, with or without Monte Carlo.
+        monkeypatch.setenv("RINGSUM_OUT", str(tmp_path / "out"))
+        body = BASIC.replace("steps = 40", "steps = 1").replace("1.0 2.0 3.0 4.0", "1.0 2.0 3.0")
+        cfg = _write_scenario(tmp_path, body)
+        assert main(["simulate", "--config", str(cfg), "--trials", str(trials)]) == 0
+        out_dir = tmp_path / "out" / "basic"
+        header = "k,mean_abs_error,mae_stderr,sum_variance,sum_variance_stderr" if trials > 1 \
+            else "k,sum_abs_error"
+        assert (out_dir / "errors.csv").read_bytes() == (header + "\r\n").encode()
+        summary = (out_dir / "summary.txt").read_text()
+        assert "PHASE 1 start_k 0 members 3" in summary
+        assert "UTILITY" not in summary and "FAIL" not in summary
+
     def test_malformed_config_exits_nonzero(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RINGSUM_OUT", str(tmp_path / "out"))
         bad = tmp_path / "bad.cfg"

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ringsum import (
-    AsyncClock,
     ConfigError,
     Distribution,
     Join,
@@ -207,11 +206,6 @@ class TestAsynchronous:
         b = run_ai(cfg, rate=1.0, horizon=30.0)
         assert np.array_equal(a.x, b.x)
         assert a.trace == b.trace
-
-    def test_clock_timestamps_strictly_increase(self):
-        clock = AsyncClock([1, 2, 3], rate=3.0, source=NoiseSource(4))
-        times = [clock.next_tick()[0] for _ in range(200)]
-        assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
 
     def test_membership_events_rejected(self):
         cfg = _config([1.0, 2.0, 3.0], steps=5, events=(Leave(2, node=1),))

@@ -112,6 +112,17 @@ class TestAggregation:
         assert agg.ks[0] == 3
         assert 13 in agg.ks and 25 in agg.ks
 
+    def test_no_full_window_gives_an_empty_aggregate(self):
+        # One step on three nodes: no phase holds n states, so no window fills.
+        agg = aggregate_trials(_config([1.0, 2.0, 3.0], steps=1), trials=3)
+        assert agg.trials == 3
+        assert agg.ks.dtype.kind == "i"
+        for column in (agg.ks, agg.mean_abs_error, agg.mae_stderr, agg.sum_variance,
+                       agg.sum_variance_stderr):
+            assert len(column) == 0
+        with pytest.raises(KeyError):
+            agg.at(1)
+
     def test_needs_two_trials(self):
         cfg = _config([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
