@@ -16,21 +16,9 @@ from .model import (
     NoiseSchedule,
     ProtocolConfig,
     RingSumError,
-    RingTopology,
-    TopologyError,
-    build_ring,
-    variance_at,
 )
-from .noise import NoiseSource, sample_beta
-from .engine import (
-    MembershipError,
-    ProtocolRun,
-    join,
-    leave,
-    run_ai,
-    run_si,
-    si_step,
-)
+from .noise import NoiseSource
+from .engine import RunResult, run_ai, run_si
 from .metrics import (
     ErrorAggregate,
     WindowNotFullError,

@@ -20,7 +20,7 @@ from .model import (
     ProtocolConfig,
     RingSumError,
 )
-from .engine import noise_block
+from .engine import _round, noise_block
 from .noise import NoiseSource
 
 
@@ -207,15 +207,16 @@ def _sample_traces(
     trial_offset: int,
 ) -> np.ndarray:
     """Adversary-observable messages d_i(k), shape (K, n, samples)."""
-    n = len(secrets)
+    order = tuple(range(1, len(secrets) + 1))
     trials = (np.arange(samples, dtype=np.uint64) + np.uint64(trial_offset))[:, None]
     x = np.tile(secrets, (samples, 1))
-    out = np.empty((K, n, samples))
+    out = np.empty((K, len(order), samples))
     for k in range(K):
-        beta = noise_block(src, dist, range(1, n + 1), schedules, [k], trials)[0]
-        d = x - beta
-        out[k] = d.T
-        x = beta + np.roll(d, 1, axis=1)
+        beta = noise_block(src, dist, order, schedules, [k], trials)[0]
+        # Allocated after the draw, so that it is not alive beside the draw's temporaries.
+        x_next = np.empty_like(x)
+        out[k] = _round(x, beta, order, x_next)[1].T
+        x = x_next
     return out
 
 

@@ -150,20 +150,20 @@ def _write_csv(path: Path, header: str, blocks) -> None:
 
 
 def _trajectory_blocks(run, parts):
-    """Columns of trajectories.csv: per segment, the rows before its first
+    """Columns of trajectories.csv: per phase, the rows before its first
     full window, then the rows with one. A join step is listed in both of
-    its segments, with a window only in the one it ends (the next segment
-    has another order and has not filled a window yet)."""
+    its phases, with a window only in the one it ends (the next phase has
+    another order and has not filled a window yet)."""
     windows = {(int(p.k_start[0]), p.order): p.y.ravel() for p in parts}
-    for seg in run.segments:
-        mat = seg.state_matrix()
-        k = np.repeat(np.arange(seg.start_k, seg.start_k + len(mat)), seg.n)
-        cols = (k, np.tile(seg.order, len(mat)), mat.ravel())
-        cut = min(seg.n - 1, len(mat)) * seg.n
+    for phase, mat in run.phases:
+        n = phase.n
+        k = np.repeat(np.arange(phase.start_k, phase.start_k + len(mat)), n)
+        cols = (k, np.tile(phase.order, len(mat)), mat.ravel())
+        cut = min(n - 1, len(mat)) * n
         yield tuple(c[:cut] for c in cols)
-        y = windows.get((seg.start_k, seg.order))
+        y = windows.get((phase.start_k, phase.order))
         if y is not None:
-            yield (*(c[cut:] for c in cols), y, k[cut:] - (seg.n - 1), np.abs(y - seg.target))
+            yield (*(c[cut:] for c in cols), y, k[cut:] - (n - 1), np.abs(y - phase.target))
 
 
 def _write_trajectories(path: Path, run, parts) -> None:
@@ -210,12 +210,12 @@ def _run_simulate(args) -> int:
 
     if protocol == "si":
         sched_agg = analysis.ScheduleAggregates.from_schedules(config.schedules)
-        for i, seg in enumerate(run.segments, 1):
+        for i, (phase, _) in enumerate(run.phases, 1):
             summary.append(
-                f"PHASE {i} start_k {seg.start_k} members {seg.n} target {_fmt(seg.target)}"
+                f"PHASE {i} start_k {phase.start_k} members {phase.n} target {_fmt(phase.target)}"
             )
-            ub = analysis.utility_bound(sched_agg, seg.n)
-            last_k = seg.start_k + len(seg.states) - 1
+            ub = analysis.utility_bound(sched_agg, phase.n)
+            last_k = phase.stop_k
             empirical = se = None
             if agg is not None:
                 try:
@@ -231,7 +231,10 @@ def _run_simulate(args) -> int:
                 summary.append(_check_line(f"utility_phase{i}", empirical, ub))
         if config.distribution is Distribution.LAPLACE:
             budget = analysis.epsilon_total(sched_agg, args.delta, config.steps, config.distribution)
-            summary.append(f"EPSILON delta {_fmt(args.delta)} K {config.steps} total {_fmt(budget.total)}")
+            total, tag = budget.total, ""
+            if run.start_shift_applied:  # the run drew its k = 0 noise at the substituted scale
+                total, tag = budget.total_start_shifted, " start_shifted"
+            summary.append(f"EPSILON delta {_fmt(args.delta)} K {config.steps} total {_fmt(total)}{tag}")
         else:
             summary.append(
                 f"EPSILON not-applicable (distribution={config.distribution.value}; "

@@ -30,20 +30,11 @@ privacy accounting mirrors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (
-    ConfigError,
-    Distribution,
-    Family,
-    NoiseSchedule,
-    ProtocolConfig,
-    RingSumError,
-    RingTopology,
-    build_ring,
-)
+from .model import ConfigError, Family, NoiseSchedule, Phase, ProtocolConfig
 from .noise import NoiseSource
 
 # Noise values drawn per sampling call. Bounds the temporaries of the
@@ -51,13 +42,14 @@ from .noise import NoiseSource
 NOISE_CHUNK = 1 << 18
 
 
-class MembershipError(RingSumError, ValueError):
-    """Invalid join or leave request."""
+def _start_shifted(schedule: NoiseSchedule) -> bool:
+    """Whether the schedule has no finite scale at k = 0 (harmonic, d = 0)."""
+    return schedule.family is Family.HARMONIC and schedule.d == 0
 
 
 def _scale_with_start_shift(schedule: NoiseSchedule, k: int) -> float:
     """v(k), substituting d = 1 at k = 0 for harmonic schedules with d = 0."""
-    if k == 0 and schedule.family is Family.HARMONIC and schedule.d == 0:
+    if k == 0 and _start_shifted(schedule):
         return schedule.c
     return schedule.scale(k)
 
@@ -147,200 +139,64 @@ def simulate(config: ProtocolConfig, trials: int, states: list, first_trial: int
     return max_drift
 
 
-# -- single-trial runs and the round-by-round API ----------------------------
+# -- single-trial runs ---------------------------------------------------------
 
 
-@dataclass
-class Segment:
-    """A maximal stretch of constant membership.
+def _frozen(states: np.ndarray) -> np.ndarray:
+    states.flags.writeable = False
+    return states
 
-    `states[t]` is the state vector at step `start_k + t`, aligned with
-    `order`. The estimator window length inside a segment is `len(order)`.
+
+@dataclass(frozen=True)
+class RunResult:
+    """One trial of a run: each phase with its read-only (steps, n) states.
+
+    In `phases`, states[t] is the state at step phase.start_k + t, aligned
+    with phase.order. `trace` holds the delivered messages (k, node, d) if
+    they were recorded; `tick_counts` each node's ticks (run_ai only).
+    `start_shift_applied` is set when a member that draws at k = 0 (on its
+    first tick, for run_ai) has a harmonic schedule with d = 0.
     """
 
-    start_k: int
-    order: tuple[int, ...]
-    target: float
-    states: list | np.ndarray = field(default_factory=list)
+    phases: tuple[tuple[Phase, np.ndarray], ...]
+    max_rel_drift: float
+    start_shift_applied: bool
+    k: int
+    trace: tuple[tuple[int, int, float], ...] | None = None
+    tick_counts: dict[int, int] | None = None
 
     @property
-    def n(self) -> int:
-        return len(self.order)
-
-    def state_matrix(self) -> np.ndarray:
-        return np.asarray(self.states)
-
-
-class ProtocolRun:
-    """Evolving protocol state plus the adversary-observable message trace."""
-
-    def __init__(
-        self,
-        topology: RingTopology,
-        secrets: dict[int, float],
-        schedules: dict[int, NoiseSchedule],
-        distribution: Distribution,
-        source: NoiseSource,
-        trial: int = 0,
-        record_trace: bool = True,
-        record_states: bool = True,
-    ):
-        self.secrets = dict(secrets)
-        self.schedules = dict(schedules)
-        self.distribution = distribution
-        self.source = source
-        self.trial = trial
-        self.record_trace = record_trace
-        self.record_states = record_states
-
-        self.order: list[int] = topology.order_from(topology.nodes[0])
-        self.x = np.array([secrets[i] for i in self.order], dtype=np.float64)
-        self.k = 0
-        self.trace: list[tuple[int, int, float]] = []
-        self.target = math.fsum(secrets[i] for i in self.order)
-        self.max_rel_drift = 0.0
-        self.start_shift_applied = any(
-            s.family is Family.HARMONIC and s.d == 0 for s in self.schedules.values()
-        )
-        self.segments: list[Segment] = []
-        self._open_segment()
-
-    @classmethod
-    def start(cls, config: ProtocolConfig, source: NoiseSource | None = None, trial: int = 0,
-              record_trace: bool = True, record_states: bool = True) -> "ProtocolRun":
-        """A run of `config` at step 0 on the canonical ring 1..n."""
-        topo = build_ring(len(config.secrets))
-        return cls(topo, dict(zip(topo.nodes, config.secrets)), dict(zip(topo.nodes, config.schedules)),
-                   config.distribution, source or NoiseSource(config.rng_seed), trial,
-                   record_trace, record_states)
-
-    # -- bookkeeping ------------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return len(self.order)
+    def x(self) -> np.ndarray:
+        return self.phases[-1][1][-1]
 
     @property
     def members(self) -> tuple[int, ...]:
-        return tuple(self.order)
+        return self.phases[-1][0].order
 
-    def member_sum(self) -> float:
-        return float(self.x.sum())
-
-    def state_of(self, node: int) -> float:
-        return float(self.x[self.order.index(node)])
-
-    def _open_segment(self):
-        seg = Segment(self.k, tuple(self.order), self.target)
-        if self.record_states:
-            seg.states.append(self.x.copy())
-        self.segments.append(seg)
-
-    def _after_step(self):
-        if self.record_states:
-            self.segments[-1].states.append(self.x.copy())
-        self._track_drift()
-
-    def _track_drift(self):
-        # Scalar arithmetic, not _fold_drift: si_step calls this on every round.
-        drift = abs(self.x.sum() - self.target) / max(1.0, abs(self.target))
-        if not drift <= self.max_rel_drift and not math.isnan(self.max_rel_drift):
-            self.max_rel_drift = drift  # a NaN drift is taken and then kept
-
-    def _record(self, k: int, nodes, d: np.ndarray) -> None:
-        self.trace.extend((k, node, float(v)) for node, v in zip(nodes, d[0]))
-
-    def _play_round(self, *leaver_secret) -> np.ndarray:
-        """Run round k on the current state; returns the next state."""
-        beta = noise_block(self.source, self.distribution, self.order,
-                           [self.schedules[i] for i in self.order], [self.k], self.trial)[0]
-        new = np.empty((1, self.n))
-        sent = _round(self.x[None, :], beta, self.order, new, *leaver_secret)
-        if self.record_trace:
-            self._record(self.k, *sent)
-        self.k += 1
-        return new[0]
+    @property
+    def target(self) -> float:
+        return self.phases[-1][0].target
 
 
-def si_step(run: ProtocolRun) -> ProtocolRun:
-    """One synchronous round: mask, hand off along the ring, increment k."""
-    run.x = run._play_round()
-    run._after_step()
-    return run
-
-
-def leave(run: ProtocolRun, node: int, k: int | None = None) -> ProtocolRun:
-    """Execute the departure round for `node` at the current step.
-
-    The leaver unmasks its secret out of its final message; its predecessor
-    skips sending and only accumulates. The member sum drops by the leaver's
-    secret exactly.
-    """
-    if k is not None and k != run.k:
-        raise MembershipError(f"leave scheduled at k={k} but run is at k={run.k}")
-    if node not in run.order:
-        raise MembershipError(f"node {node} is not a member")
-    if run.n - 1 < 3:
-        raise MembershipError("leave rejected: membership would drop below 3")
-    li = run.order.index(node)
-    run.x = np.delete(run._play_round(li, run.secrets[node]), li)
-    run.order.pop(li)
-    run.target = math.fsum(run.secrets[i] for i in run.order)
-    run._open_segment()
-    run._track_drift()
-    return run
-
-
-def join(
-    run: ProtocolRun,
-    new_node: int,
-    anchor: int,
-    secret: float,
-    schedule: NoiseSchedule | None = None,
-) -> ProtocolRun:
-    """Insert `new_node` after `anchor` with state equal to its secret.
-
-    Takes effect immediately; the next round runs on the enlarged ring. If no
-    schedule is given, a returning node reuses its previous one, otherwise it
-    copies the anchor's.
-    """
-    if new_node in run.order:
-        raise MembershipError(f"node {new_node} is already a member")
-    if anchor not in run.order:
-        raise MembershipError(f"anchor node {anchor} is not a member")
-    pos = run.order.index(anchor) + 1
-    run.order.insert(pos, new_node)
-    run.x = np.insert(run.x, pos, secret)
-    run.secrets[new_node] = secret
-    run.schedules[new_node] = schedule or run.schedules.get(new_node) or run.schedules[anchor]
-    run.target = math.fsum(run.secrets[i] for i in run.order)
-    run._open_segment()
-    return run
-
-
-def run_si(
-    config: ProtocolConfig,
-    trial: int = 0,
-    record_trace: bool = True,
-    record_states: bool = True,
-    source: NoiseSource | None = None,
-) -> ProtocolRun:
+def run_si(config: ProtocolConfig, trial: int = 0, record_trace: bool = True,
+           source: NoiseSource | None = None) -> RunResult:
     """Execute K synchronous rounds with membership events at their times:
-    trial `trial` of `simulate`, returned as a `ProtocolRun`."""
-    run = ProtocolRun.start(config, source, trial, record_trace, record_states)
+    trial `trial` of `simulate`."""
     phases = config.phases()
-    storage = [np.empty((p.stop_k - p.start_k + 1, 1, p.n)) for p in phases]
-    record = run._record if record_trace else None
-    run.max_rel_drift = simulate(config, 1, storage, trial, run.source, record)
-    run.segments = []
-    for p, states in zip(phases, storage):
-        run.secrets.update(zip(p.order, p.secrets))
-        run.schedules.update(zip(p.order, p.schedules))
-        rows = list(states[:, 0]) if record_states else []
-        run.segments.append(Segment(p.start_k, p.order, p.target, rows))
-    run.order, run.target, run.k = list(p.order), p.target, config.steps
-    run.x = states[-1, 0].copy()
-    return run
+    storage = [np.empty((p.stop_k - p.start_k + 1, p.n)) for p in phases]
+    trace = []
+
+    def record(k, nodes, d):
+        trace.extend((k, node, float(v)) for node, v in zip(nodes, d[0]))
+
+    drift = simulate(config, 1, [s[:, None] for s in storage], trial, source,
+                     record if record_trace else None)
+    # Round 0 is played by the first phase with a round; those before it end
+    # in a join at k = 0.
+    first = next(p for p in phases if p.stop_k > 0 or p.leaver is not None)
+    return RunResult(tuple(zip(phases, map(_frozen, storage))), drift,
+                     any(map(_start_shifted, first.schedules)), config.steps,
+                     tuple(trace) if record_trace else None)
 
 
 # -- asynchronous variant ---------------------------------------------------
@@ -377,9 +233,8 @@ def run_ai(
     horizon: float,
     trial: int = 0,
     record_trace: bool = True,
-    record_states: bool = True,
     tick_order=None,
-) -> ProtocolRun:
+) -> RunResult:
     """Poisson-clock execution until the time horizon.
 
     On node i's tick with local count m: draw beta at scale v_i(m), send
@@ -391,6 +246,7 @@ def run_ai(
     merge by time, a tie going to the lower node id; only the hand-off runs
     tick by tick. Scales take the scalar path (`scale_column` differs in the
     last bits for geometric schedules), so the run is the tick-by-tick one.
+    The result's one phase runs from step 0 to the tick count.
 
     Membership events are not supported here; the rewiring rules above are
     defined for the synchronous rounds only.
@@ -400,30 +256,34 @@ def run_ai(
     for name, value in (("horizon", horizon), ("Poisson rate", rate)):
         if not 0 < value < math.inf:
             raise ConfigError(f"{name} must be finite and > 0, got {value}")
-    run = ProtocolRun.start(config, None, trial, record_trace, record_states)
-    nodes, n = run.order, len(run.order)
+    (phase,) = config.phases()
+    nodes, n, source = phase.order, phase.n, NoiseSource(config.rng_seed)
     if tick_order is None:
-        tick_order = _poisson_ticks(run.source, nodes, trial, rate, horizon)[1].tolist()
+        tick_order = _poisson_ticks(source, nodes, trial, rate, horizon)[1].tolist()
+    elif strangers := set(tick_order) - set(nodes):
+        raise ConfigError(f"tick_order names nodes that are not members: {sorted(strangers)}")
     pos = {node: j for j, node in enumerate(nodes)}
     js = np.array([pos[node] for node in tick_order], dtype=np.intp)
-    betas, run.tick_counts = np.empty(len(js)), {}
+    betas, tick_counts = np.empty(len(js)), {}
     for j, node in enumerate(nodes):
         mine = js == j
-        m = run.tick_counts[node] = int(mine.sum())
-        scales = [_scale_with_start_shift(run.schedules[node], k) for k in range(m)]
-        betas[mine] = run.source.sample(node, np.arange(m, dtype=np.uint64), trial, scales, run.distribution)
+        m = tick_counts[node] = int(mine.sum())
+        scales = [_scale_with_start_shift(phase.schedules[j], k) for k in range(m)]
+        betas[mine] = source.sample(node, np.arange(m, dtype=np.uint64), trial, scales,
+                                    config.distribution)
 
-    x, succ = run.x.tolist(), [*range(1, n), 0]
+    x, succ = np.asarray(phase.secrets, dtype=np.float64).tolist(), [*range(1, n), 0]
     states = np.empty((len(js) + 1, n))
     states[0] = x
     for i, (j, beta) in enumerate(zip(js.tolist(), betas.tolist()), 1):
         x[succ[j]] += x[j] - beta
         x[j] = beta
         states[i] = x
+    trace = None
     if record_trace:  # each message again, from the state the tick started in
         d = states[np.arange(len(js)), js] - betas
-        run.trace = list(zip(range(len(js)), [nodes[j] for j in js.tolist()], d.tolist()))
-    run.k, run.x = len(js), states[-1].copy()
-    run.max_rel_drift = _fold_drift(0.0, states[1:], run.target)
-    run.segments = [Segment(0, tuple(nodes), run.target, states if record_states else [])]
-    return run
+        trace = tuple(zip(range(len(js)), [nodes[j] for j in js.tolist()], d.tolist()))
+    shifted = any(_start_shifted(s) for s, node in zip(phase.schedules, nodes) if tick_counts[node])
+    return RunResult(((replace(phase, stop_k=len(js)), _frozen(states)),),
+                     _fold_drift(0.0, states[1:], phase.target), shifted, len(js), trace,
+                     tick_counts)

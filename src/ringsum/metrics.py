@@ -9,6 +9,7 @@ the current-phase member sum.
 Monte Carlo trials are simulated together: `engine.simulate` writes all
 trials' states into one tensor per phase (trials-major with membership
 events, step-major without), and the window sums are formed in place there.
+A single run's states are read-only, so its window sums work on a copy.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ProtocolConfig, RingSumError
-from .engine import ProtocolRun, run_si, simulate  # noqa: F401 (run_si stays importable here)
+from .engine import RunResult, run_si, simulate  # noqa: F401 (run_si stays importable here)
 
 
 class WindowNotFullError(RingSumError, ValueError):
@@ -26,7 +27,7 @@ class WindowNotFullError(RingSumError, ValueError):
 
 
 @dataclass
-class SegmentWindows:
+class PhaseWindows:
     """All full-window estimates inside one constant-membership stretch."""
 
     order: tuple[int, ...]
@@ -42,7 +43,7 @@ class SegmentWindows:
         return np.abs(self.y - self.target).sum(axis=1)
 
 
-def _windows(stretches) -> list[SegmentWindows]:
+def _windows(stretches) -> list[PhaseWindows]:
     """Full-window estimates of each (start_k, order, target, states) stretch;
     the step-indexed `states` (steps, ..., n) become the window sums in place."""
     out = []
@@ -56,40 +57,32 @@ def _windows(stretches) -> list[SegmentWindows]:
             lo = max(n, hi - n)
             states[lo:hi] -= states[lo - n : hi - n]
         k_end = start_k + np.arange(n - 1, len(states))
-        out.append(SegmentWindows(order, target, k_end, np.moveaxis(states[n - 1 :], 0, -2)))
+        out.append(PhaseWindows(order, target, k_end, np.moveaxis(states[n - 1 :], 0, -2)))
     return out
 
 
-def window_sums(run: ProtocolRun) -> list[SegmentWindows]:
-    """Per-segment estimator series for a completed run with recorded states."""
-    if not run.record_states:
-        raise WindowNotFullError("run was executed without state recording")
-    return _windows(
-        (seg.start_k, seg.order, seg.target, np.array(seg.states, dtype=np.float64))
-        for seg in run.segments
-    )
+def window_sums(run: RunResult) -> list[PhaseWindows]:
+    """Per-phase estimator series of a completed run."""
+    return _windows((p.start_k, p.order, p.target, states.copy()) for p, states in run.phases)
 
 
-def estimator(run: ProtocolRun, node: int, k: int) -> float:
+def estimator(run: RunResult, node: int, k: int) -> float:
     """Window sum of `node`'s states ending at step k (window length n)."""
-    if not run.record_states:
-        raise WindowNotFullError("run was executed without state recording")
-    for seg in run.segments:
-        offset = k - seg.start_k
-        if node in seg.order and 0 <= offset < len(seg.states):
-            if offset < seg.n - 1:
+    for phase, states in run.phases:
+        offset = k - phase.start_k
+        if node in phase.order and 0 <= offset < len(states):
+            if offset < phase.n - 1:
                 raise WindowNotFullError(
-                    f"node {node} has only {offset + 1} states at k={k}, needs {seg.n}"
+                    f"node {node} has only {offset + 1} states at k={k}, needs {phase.n}"
                 )
-            j = seg.order.index(node)
-            col = seg.state_matrix()[offset - seg.n + 1 : offset + 1, j]
-            return float(col.sum())
+            j = phase.order.index(node)
+            return float(states[offset - phase.n + 1 : offset + 1, j].sum())
     raise WindowNotFullError(f"no recorded window for node {node} ending at k={k}")
 
 
-def error_series(run: ProtocolRun, parts: list[SegmentWindows] | None = None
+def error_series(run: RunResult, parts: list[PhaseWindows] | None = None
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(k_end, sum_i |y_i - target|) across all segments of one run; `parts`
+    """(k_end, sum_i |y_i - target|) across all phases of one run; `parts`
     are the run's window sums if already computed."""
     parts = window_sums(run) if parts is None else parts
     if not parts:
@@ -125,17 +118,7 @@ class ErrorAggregate:
         )
 
 
-def _dense_states(config: ProtocolConfig, trials: int) -> tuple[np.ndarray, float]:
-    """State tensor (K+1, trials, n) for an event-free config; also max drift.
-
-    Same noise stream coordinates as the scalar engine, so trajectories match
-    run_si(config, trial=t) bit for bit.
-    """
-    states = np.empty((config.steps + 1, trials, len(config.secrets)))
-    return states, simulate(config, trials, [states])
-
-
-def trial_windows(config: ProtocolConfig, trials: int) -> list[SegmentWindows]:
+def trial_windows(config: ProtocolConfig, trials: int) -> list[PhaseWindows]:
     """Estimator series stacked across trials: y has shape (trials, steps, n)."""
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -145,9 +128,9 @@ def trial_windows(config: ProtocolConfig, trials: int) -> list[SegmentWindows]:
     # transposed step-major tensor pairwise. Keep the two established paths.
     if config.events:
         states = [np.empty((trials, p.stop_k - p.start_k + 1, p.n)).swapaxes(0, 1) for p in phases]
-        simulate(config, trials, states)
     else:
-        states = [_dense_states(config, trials)[0]]
+        states = [np.empty((config.steps + 1, trials, len(config.secrets)))]
+    simulate(config, trials, states)
     return _windows((p.start_k, p.order, p.target, v) for p, v in zip(phases, states))
 
 

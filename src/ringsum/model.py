@@ -1,9 +1,10 @@
 """Domain types shared by the simulator and the analysis code.
 
 Everything here is immutable after construction and safe to share across
-threads. Node identifiers are opaque nonnegative integers; ring order is
-carried by the successor map, never by identifier arithmetic, so membership
-changes do not renumber surviving nodes.
+threads. Node identifiers are opaque nonnegative integers; ring order is the
+order of a phase's `order` tuple (each node sends to the next, the last to
+the first), never identifier arithmetic, so membership changes do not
+renumber surviving nodes.
 """
 from __future__ import annotations
 
@@ -14,10 +15,6 @@ from dataclasses import dataclass, field
 
 class RingSumError(Exception):
     """Base class for all errors raised by this package."""
-
-
-class TopologyError(RingSumError, ValueError):
-    """Invalid ring construction or rewiring request."""
 
 
 class DegenerateScheduleError(RingSumError, ValueError):
@@ -91,92 +88,6 @@ class NoiseSchedule:
                 )
             return self.c / denom
         return self.c * self.phi**k
-
-
-def variance_at(schedule: NoiseSchedule, k: int) -> float:
-    """The scheduled variance v(k)**2; strictly decreasing in k."""
-    return schedule.scale(k) ** 2
-
-
-@dataclass(frozen=True)
-class RingTopology:
-    """A directed ring: nodes plus the successor permutation.
-
-    The successor map must be a single n-cycle over all nodes with n > 2.
-    """
-
-    nodes: tuple[int, ...]
-    successor: dict[int, int]
-
-    def __post_init__(self):
-        n = len(self.nodes)
-        if n <= 2:
-            raise TopologyError(f"a ring needs more than 2 nodes, got {n}")
-        if len(set(self.nodes)) != n:
-            raise TopologyError("duplicate node identifiers")
-        if set(self.successor) != set(self.nodes):
-            raise TopologyError("successor map must cover exactly the node set")
-        # Single-cycle check: walking the successor map from any node must
-        # visit every node exactly once before returning.
-        seen = []
-        cur = self.nodes[0]
-        for _ in range(n):
-            seen.append(cur)
-            cur = self.successor[cur]
-        if cur != self.nodes[0] or len(set(seen)) != n:
-            raise TopologyError("successor map is not a single cycle over all nodes")
-
-    @property
-    def n(self) -> int:
-        return len(self.nodes)
-
-    def predecessor_map(self) -> dict[int, int]:
-        return {succ: node for node, succ in self.successor.items()}
-
-    def predecessor(self, node: int) -> int:
-        return self.predecessor_map()[node]
-
-    def order_from(self, start: int) -> list[int]:
-        """Nodes in ring order starting at `start`."""
-        out = [start]
-        cur = self.successor[start]
-        while cur != start:
-            out.append(cur)
-            cur = self.successor[cur]
-        return out
-
-    def with_leave(self, node: int) -> "RingTopology":
-        """Rewire so that the leaver's predecessor points at its successor."""
-        if node not in self.successor:
-            raise TopologyError(f"node {node} is not a member")
-        if self.n - 1 < 3:
-            raise TopologyError("leaving would shrink the ring below 3 nodes")
-        pred = self.predecessor(node)
-        succ = self.successor[node]
-        new_succ = {a: b for a, b in self.successor.items() if a != node}
-        new_succ[pred] = succ
-        return RingTopology(tuple(x for x in self.nodes if x != node), new_succ)
-
-    def with_join(self, new_node: int, anchor: int) -> "RingTopology":
-        """Insert `new_node` between `anchor` and anchor's successor."""
-        if new_node in self.successor:
-            raise TopologyError(f"node {new_node} is already a member")
-        if anchor not in self.successor:
-            raise TopologyError(f"anchor node {anchor} is not a member")
-        new_succ = dict(self.successor)
-        new_succ[new_node] = new_succ[anchor]
-        new_succ[anchor] = new_node
-        return RingTopology(self.nodes + (new_node,), new_succ)
-
-
-def build_ring(n: int) -> RingTopology:
-    """The canonical ring on nodes 1..n with successor(i) = i + 1, successor(n) = 1."""
-    if n <= 2:
-        raise TopologyError(f"a ring needs more than 2 nodes, got {n}")
-    nodes = tuple(range(1, n + 1))
-    successor = {i: i + 1 for i in range(1, n)}
-    successor[n] = 1
-    return RingTopology(nodes, successor)
 
 
 @dataclass(frozen=True)

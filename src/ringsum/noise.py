@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Distribution, NoiseSchedule
+from .model import Distribution
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -91,14 +91,3 @@ class NoiseSource:
         gap = -np.log(u) / rate
         return float(gap) if gap.ndim == 0 else gap
 
-
-def sample_beta(
-    src: NoiseSource,
-    node: int,
-    k: int,
-    trial: int,
-    schedule: NoiseSchedule,
-    dist: Distribution,
-) -> float:
-    """One protocol noise draw beta_node(k) with scheduled scale v(k)."""
-    return src.sample(node, k, trial, schedule.scale(k), dist)

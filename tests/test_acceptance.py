@@ -94,7 +94,7 @@ def test_acceptance_1_sum_conservation():
                 Join(t_join, victim, anchor, float(rng.uniform(-100, 100))),
             )
         cfg = ProtocolConfig.uniform(secrets, schedule, dist, 500, int(rng.integers(2**31)), events)
-        run = run_si(cfg, record_trace=False, record_states=False)
+        run = run_si(cfg, record_trace=False)
         worst = max(worst, run.max_rel_drift)
     elapsed = time.perf_counter() - start
     _verdict(1, "sum-conservation", worst <= 1e-10 and elapsed < 30.0)
@@ -108,8 +108,8 @@ def test_acceptance_2_three_phase_reference_run():
     trials = extras["trials"]
     assert trials >= 100
 
-    run = run_si(config, record_trace=False, record_states=False)
-    targets = [seg.target for seg in run.segments]
+    run = run_si(config, record_trace=False)
+    targets = [phase.target for phase, _ in run.phases]
     # The published secrets actually sum to 499.9999; "500" is their rounding.
     stated = [500.0, 400.0, 500.0]
     targets_ok = all(abs(t - s) <= 1.1e-4 for t, s in zip(targets, stated))
@@ -298,7 +298,7 @@ def test_acceptance_8_structural_oracles():
         src = NoiseSource(seed)
         nodes = np.arange(1, n + 1, dtype=np.uint64)
         x = secrets.astype(np.float64)
-        states = run.segments[0].state_matrix()
+        states = run.phases[0][1]
         for k in range(100):
             scale = scale_column(schedule, np.array([k], dtype=np.uint64))[0]
             beta = src.sample(nodes, k, 0, scale, cfg.distribution)

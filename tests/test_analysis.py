@@ -20,6 +20,9 @@ from ringsum import (
     utility_bound,
     variance_bound,
 )
+from ringsum.analysis import _sample_traces
+from ringsum.engine import noise_block
+from ringsum.noise import NoiseSource
 
 HARM1000 = NoiseSchedule.harmonic(1000.0, 1.0)
 
@@ -147,6 +150,25 @@ class TestAudit:
         result = dp_audit(cfg, delta=1.0, K=2, samples=200_000)
         assert result.epsilon == pytest.approx(2.0)
         assert result.observed <= result.epsilon + 0.15
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize(
+        "schedule", [NoiseSchedule.harmonic(1.0, 0.0), NoiseSchedule.geometric(3.0, 0.9)]
+    )
+    def test_sampled_traces_follow_the_rolled_hand_off(self, n, schedule):
+        # The audit's hand-off as first written, x <- beta + roll(x - beta),
+        # replayed on the same noise: the messages must match bit for bit.
+        cfg = ProtocolConfig.uniform(np.arange(1.0, n + 1.0), schedule, Distribution.LAPLACE, 3, 5)
+        src, samples, K = NoiseSource(cfg.rng_seed), 500, 3
+        traces = _sample_traces(np.asarray(cfg.secrets), cfg.schedules, cfg.distribution, src,
+                                K, samples, 7)
+        trials = (np.arange(samples, dtype=np.uint64) + np.uint64(7))[:, None]
+        x = np.tile(np.asarray(cfg.secrets), (samples, 1))
+        for k in range(K):
+            beta = noise_block(src, cfg.distribution, range(1, n + 1), cfg.schedules, [k], trials)[0]
+            d = x - beta
+            assert np.array_equal(traces[k].view(np.uint64), d.T.view(np.uint64))
+            x = beta + np.roll(d, 1, axis=1)
 
     def test_large_instances_refused(self):
         cfg = ProtocolConfig.uniform(

@@ -2,9 +2,9 @@
 
 The oracle below is the engine that merged the nodes' Poisson clocks in a
 heap and drew one clock gap and one beta per tick, kept verbatim (only the
-function is renamed) so that any bit the vectorized `run_ai` changes shows
-up here: in the states, the trace, the tick counts, the tick order or the
-drift, NaN included.
+function is renamed, and its run type now comes from `stepping_engine`) so
+that any bit the vectorized `run_ai` changes shows up here: in the states,
+the trace, the tick counts, the tick order or the drift, NaN included.
 """
 import heapq
 import math
@@ -19,10 +19,10 @@ from ringsum import (
     NoiseSchedule,
     NoiseSource,
     ProtocolConfig,
-    ProtocolRun,
     run_ai,
 )
 from ringsum.engine import FIRST_GAPS, _poisson_ticks, _scale_with_start_shift
+from stepping_engine import ProtocolRun
 
 
 # -- the heap-clock oracle ----------------------------------------------------
@@ -124,18 +124,21 @@ def bits(values) -> np.ndarray:
 def assert_same_run(run, ref) -> None:
     assert run.k == ref.k
     assert run.tick_counts == ref.tick_counts
-    assert [t[:2] for t in run.trace] == [t[:2] for t in ref.trace]
-    assert np.array_equal(bits([t[2] for t in run.trace]), bits([t[2] for t in ref.trace]))
+    trace = () if run.trace is None else run.trace  # the oracle keeps [] when not recording
+    assert [t[:2] for t in trace] == [t[:2] for t in ref.trace]
+    assert np.array_equal(bits([t[2] for t in trace]), bits([t[2] for t in ref.trace]))
     assert np.array_equal(bits(run.x), bits(ref.x))
     assert np.array_equal(bits(run.max_rel_drift), bits(ref.max_rel_drift))
-    assert [(s.start_k, s.order, s.target) for s in run.segments] == [
+    assert [(p.start_k, p.order, p.target) for p, _ in run.phases] == [
         (s.start_k, s.order, s.target) for s in ref.segments
     ]
-    for a, b in zip(run.segments, ref.segments):
-        assert np.array_equal(bits(a.state_matrix()), bits(b.state_matrix()))
+    for (phase, states), seg in zip(run.phases, ref.segments, strict=True):
+        assert np.array_equal(bits(states), bits(seg.state_matrix()))
+        assert phase.stop_k == phase.start_k + len(states) - 1
 
 
 def both(config, rate, horizon, **kwargs):
+    """run_ai and the oracle, which always records its states for the comparison."""
     return run_ai(config, rate, horizon, **kwargs), oracle_run_ai(config, rate, horizon, **kwargs)
 
 
@@ -174,8 +177,9 @@ def _config(n=3, kind="geometric", dist=Distribution.LAPLACE, c=50.0, seed=8):
          rate=2.0, horizon=200.0, record=False)
 def test_run_ai_equals_heap_oracle(n, kind, dist, c, seed, trial, rate, horizon, record):
     config = _config(n, kind, dist, c, seed)
-    run, ref = both(config, rate, horizon, trial=trial, record_trace=record, record_states=record)
+    run, ref = both(config, rate, horizon, trial=trial, record_trace=record)
     assert_same_run(run, ref)
+    assert (run.trace is None) is not record
 
 
 def test_horizon_before_every_first_tick():
@@ -183,8 +187,8 @@ def test_horizon_before_every_first_tick():
     source = NoiseSource(config.rng_seed)
     first = min(source.clock_gap(node, 0, 0, 1.0) for node in (1, 2, 3))
     run, ref = both(config, 1.0, first / 2)
-    assert run.k == 0 and run.trace == [] and run.tick_counts == {1: 0, 2: 0, 3: 0}
-    assert run.segments[0].state_matrix().shape == (1, 3)
+    assert run.k == 0 and run.trace == () and run.tick_counts == {1: 0, 2: 0, 3: 0}
+    assert run.phases[0][1].shape == (1, 3)
     assert_same_run(run, ref)
 
 
@@ -270,3 +274,9 @@ def test_invalid_rate_rejected_before_any_draw(no_draws, rate):
 def test_invalid_horizon_rejected_before_any_draw(no_draws, horizon):
     with pytest.raises(ConfigError):
         run_ai(_config(), 1.0, horizon)
+
+
+@pytest.mark.parametrize("order", [[1, 7], [0], [2, 3, 1, -1]])
+def test_non_member_in_tick_order_rejected_before_any_draw(no_draws, order):
+    with pytest.raises(ConfigError, match="not members"):
+        run_ai(_config(), 1.0, 10.0, tick_order=order)

@@ -243,6 +243,21 @@ class TestSimulateCommand:
         assert "PHASE 1 start_k 0 members 3" in summary
         assert "UTILITY" not in summary and "FAIL" not in summary
 
+    def test_harmonic_d_zero_reports_the_start_shifted_budget(self, tmp_path, monkeypatch, capsys):
+        # The run draws its k = 0 noise at the d = 1 scale, so the budget it
+        # reports holds that step's term too, as `ringsum budget` does.
+        monkeypatch.setenv("RINGSUM_OUT", str(tmp_path / "out"))
+        body = BASIC.replace("steps = 40", "steps = 10").replace(
+            "family = geometric\n    c = 1.0\n    phi = 0.5", "family = harmonic\n    c = 2\n    d = 0")
+        main(["simulate", "--config", str(_write_scenario(tmp_path, body))])
+        summary = (tmp_path / "out" / "basic" / "summary.txt").read_text().splitlines()
+        capsys.readouterr()
+        assert main(["budget", "--family", "harmonic", "--c", "2", "--d", "0",
+                     "--delta", "1", "--K", "10"]) == 0
+        budget = dict(line.split() for line in capsys.readouterr().out.splitlines())
+        assert budget["epsilon_start_shifted"] == "23.0"
+        assert "EPSILON delta 1.0 K 10 total 23.0 start_shifted" in summary
+
     def test_malformed_config_exits_nonzero(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RINGSUM_OUT", str(tmp_path / "out"))
         bad = tmp_path / "bad.cfg"

@@ -9,19 +9,15 @@ from ringsum import (
     Distribution,
     Join,
     Leave,
-    MembershipError,
     NoiseSchedule,
     NoiseSource,
     ProtocolConfig,
-    build_ring,
-    join,
-    leave,
     run_ai,
     run_si,
-    si_step,
 )
-from ringsum.engine import ProtocolRun, scale_column
+from ringsum.engine import scale_column
 from ringsum.analysis import shift_matrix
+from stepping_engine import MembershipError, ProtocolRun, leave, si_step
 
 ZERO = NoiseSchedule.harmonic(0.0, 1.0)
 HARM = NoiseSchedule.harmonic(5.0, 1.0)
@@ -29,6 +25,21 @@ HARM = NoiseSchedule.harmonic(5.0, 1.0)
 
 def _config(secrets, schedule=HARM, dist=Distribution.GAUSSIAN, steps=20, seed=0, events=()):
     return ProtocolConfig.uniform(secrets, schedule, dist, steps, seed, events)
+
+
+def _stepping_run(secrets, steps):
+    """The round-by-round replay oracle, `steps` rounds into a run."""
+    nodes = list(range(1, len(secrets) + 1))
+    run = ProtocolRun(
+        nodes,
+        secrets=dict(zip(nodes, secrets)),
+        schedules=dict.fromkeys(nodes, HARM),
+        distribution=Distribution.GAUSSIAN,
+        source=NoiseSource(0),
+    )
+    for _ in range(steps):
+        si_step(run)
+    return run
 
 
 class TestSynchronousStep:
@@ -79,11 +90,11 @@ class TestSynchronousStep:
     def test_manual_stepping_matches_run_si(self):
         cfg = _config([1.0, 2.0, 3.0], steps=10, seed=3)
         auto = run_si(cfg)
-        topo = build_ring(3)
+        nodes = [1, 2, 3]
         manual = ProtocolRun(
-            topo,
-            secrets=dict(zip(topo.nodes, cfg.secrets)),
-            schedules=dict(zip(topo.nodes, cfg.schedules)),
+            nodes,
+            secrets=dict(zip(nodes, cfg.secrets)),
+            schedules=dict(zip(nodes, cfg.schedules)),
             distribution=cfg.distribution,
             source=NoiseSource(cfg.rng_seed),
         )
@@ -116,15 +127,17 @@ class TestLeave:
         cfg = _config([1.0, 2.0, 3.0, 4.0], ZERO, steps=1, events=(Leave(0, node=3),))
         run = run_si(cfg)
         # node 2 (predecessor) keeps x=2 and receives node 1's full state 1.
-        assert run.state_of(2) == 3.0
+        assert run.x[run.members.index(2)] == 3.0
 
+    # The replay oracle rejects what `ProtocolConfig.phases()` and the kernel
+    # reject for the library.
     def test_unknown_node_rejected(self):
-        run = run_si(_config([1.0, 2.0, 3.0, 4.0], steps=2))
+        run = _stepping_run([1.0, 2.0, 3.0, 4.0], steps=2)
         with pytest.raises(MembershipError):
             leave(run, 9)
 
     def test_shrinking_below_three_rejected(self):
-        run = run_si(_config([1.0, 2.0, 3.0], steps=2))
+        run = _stepping_run([1.0, 2.0, 3.0], steps=2)
         with pytest.raises(MembershipError):
             leave(run, 1)
 
@@ -137,28 +150,29 @@ class TestJoin:
         assert run.target == pytest.approx(11.0)
         assert run.max_rel_drift <= 1e-12
 
+    # Each node gets its own schedule, so the one a joiner ends up with names
+    # where it came from.
+    OWN = tuple(NoiseSchedule.harmonic(float(i), 1.0) for i in range(1, 5))
+
+    def _schedule_of(self, node, events):
+        cfg = ProtocolConfig((1.0, 2.0, 3.0, 4.0), self.OWN, Distribution.GAUSSIAN, 4, 0, events)
+        last = cfg.phases()[-1]
+        return last.schedules[last.order.index(node)]
+
     def test_returning_node_reuses_its_schedule(self):
-        run = run_si(_config([1.0, 2.0, 3.0, 4.0], steps=2))
-        old = run.schedules[4]
-        leave(run, 4)
-        join(run, 4, anchor=3, secret=4.0)
-        assert run.schedules[4] is old
+        events = (Leave(1, node=4), Join(2, 4, anchor=2, secret=4.0))
+        assert self._schedule_of(4, events) is self.OWN[3]
 
     def test_new_node_copies_anchor_schedule(self):
-        run = run_si(_config([1.0, 2.0, 3.0], steps=2))
-        join(run, 77, anchor=2, secret=0.5)
-        assert run.schedules[77] == run.schedules[2]
+        assert self._schedule_of(77, (Join(1, 77, anchor=2, secret=0.5),)) is self.OWN[1]
 
     def test_explicit_schedule_wins(self):
-        run = run_si(_config([1.0, 2.0, 3.0], steps=2))
         custom = NoiseSchedule.harmonic(9.0, 2.0)
-        join(run, 77, anchor=2, secret=0.5, schedule=custom)
-        assert run.schedules[77] == custom
+        assert self._schedule_of(77, (Join(1, 77, anchor=2, secret=0.5, schedule=custom),)) is custom
 
     def test_duplicate_member_rejected(self):
-        run = run_si(_config([1.0, 2.0, 3.0], steps=2))
-        with pytest.raises(MembershipError):
-            join(run, 2, anchor=1, secret=0.0)
+        with pytest.raises(ConfigError):
+            _config([1.0, 2.0, 3.0], steps=2, events=(Join(1, 2, anchor=1, secret=0.0),))
 
 
 class TestThreePhaseRun:
@@ -169,9 +183,9 @@ class TestThreePhaseRun:
             events=(Leave(10, node=4), Join(20, 4, anchor=3, secret=4.0)),
         )
         run = run_si(cfg)
-        targets = [seg.target for seg in run.segments]
+        targets = [phase.target for phase, _ in run.phases]
         assert targets == pytest.approx([10.0, 6.0, 10.0])
-        assert [seg.n for seg in run.segments] == [4, 3, 4]
+        assert [phase.n for phase, _ in run.phases] == [4, 3, 4]
         assert run.max_rel_drift <= 1e-12
 
     def test_segment_starts_align_with_event_times(self):
@@ -183,7 +197,7 @@ class TestThreePhaseRun:
         run = run_si(cfg)
         # The leave replaces round 10, so the shrunken segment starts at 11;
         # the join rewires before round 20.
-        assert [seg.start_k for seg in run.segments] == [0, 11, 20]
+        assert [phase.start_k for phase, _ in run.phases] == [0, 11, 20]
 
 
 class TestAsynchronous:
@@ -191,7 +205,7 @@ class TestAsynchronous:
         cfg = _config([3.0, 1.0, 2.0], ZERO, steps=1)
         order = [1, 2, 3] * 4
         run = run_ai(cfg, rate=1.0, horizon=99.0, tick_order=order)
-        assert run.member_sum() == pytest.approx(6.0)
+        assert run.x.sum() == pytest.approx(6.0)
         assert run.max_rel_drift <= 1e-12
 
     def test_poisson_run_conserves_sum(self):
@@ -224,6 +238,19 @@ class TestStartShift:
         run = run_si(cfg)
         assert run.start_shift_applied
         assert run.max_rel_drift <= 1e-12
+
+    @pytest.mark.parametrize("at, shifted", [(0, True), (1, False)])
+    def test_member_joining_at_step_zero_is_flagged(self, at, shifted):
+        # Node 9 draws its k = 0 noise at the substituted scale only if it is a
+        # member at k = 0; the initial members' schedules have d = 1.
+        cfg = _config([1.0, 2.0, 3.0], NoiseSchedule.harmonic(1.0, 1.0), steps=3,
+                      events=(Join(at, 9, 1, 4.0, NoiseSchedule.harmonic(1.0, 0.0)),))
+        assert run_si(cfg).start_shift_applied is shifted
+
+    def test_poisson_run_is_flagged_once_a_shifted_member_ticks(self):
+        cfg = _config([1.0, 2.0, 3.0], NoiseSchedule.harmonic(2.0, 0.0))
+        assert run_ai(cfg, rate=1.0, horizon=1.0, tick_order=[2]).start_shift_applied
+        assert not run_ai(cfg, rate=1.0, horizon=1.0, tick_order=[]).start_shift_applied
 
     def test_scale_column_substitutes_only_step_zero(self):
         sched = NoiseSchedule.harmonic(2.0, 0.0)

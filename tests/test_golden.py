@@ -9,10 +9,18 @@ single-run writers: a Poisson-clock run and a one-trial run with a leave and
 a join, whose errors.csv lists per-run window errors instead of aggregates.
 Any change to how the engine, the estimator or the CSV writers store or
 format states must keep these bytes.
+
+The bytes also depend on the numpy build: its AVX-512 (X86_V4) kernels of
+log, log1p, exp and power round differently in the last bits from its
+baseline ones, and the dense and poisson scenarios draw through them. The
+pins are kept per SIMD bit profile, which a fixed canary evaluation of those
+ufuncs identifies; both sets were recorded with numpy 2.4.6, the second
+under NPY_DISABLE_CPU_FEATURES=X86_V4. A profile with no recorded set fails.
 """
 import hashlib
 import textwrap
 
+import numpy as np
 import pytest
 
 from ringsum.cli import main
@@ -100,7 +108,28 @@ SINGLE = """\
         join 20 2 1 -2.0
 """
 
-GOLDEN = {
+# Digest of the canary below, per numpy SIMD bit profile.
+PROFILES = {
+    "376114ab4327410243916e6f42938611c0ff86518c552a5f70f195ab355cead0": "x86_v4",
+    "60a9839a840ea72edaefc84fda3f0a44e2eabeb5e49ded43417b4c20b51de1f1": "baseline",
+}
+
+
+def simd_profile() -> str:
+    """Name of the SIMD bit profile numpy runs under in this process."""
+    h = hashlib.sha256()
+    u = np.linspace(1e-3, 1 - 1e-3, 1 << 16)
+    for values in (np.log(u), np.log1p(-u), np.exp(np.linspace(-30.0, 30.0, 1 << 16)),
+                   np.power(0.9, np.arange(20000.0)), np.power(0.999, np.arange(20000.0))):
+        h.update(values.tobytes())
+    digest = h.hexdigest()
+    if digest not in PROFILES:
+        pytest.fail(f"no golden digests for the numpy {np.__version__} SIMD bit profile "
+                    f"with canary digest {digest}")
+    return PROFILES[digest]
+
+
+X86_V4 = {
     "churn": {
         "errors.csv": "34d71e43085803cfcdffe95e23c07bcbaa40826560e63546bf7c051cd3779713",
         "trajectories.csv": "7a174fc3dc1bf86d5341e0f7d54df0971d2ed84317317804ed700368f03b2bb5",
@@ -123,6 +152,25 @@ GOLDEN = {
     },
 }
 
+# The churn and single scenarios draw no value whose bits differ between the
+# profiles; the geometric dense and poisson scenarios do.
+GOLDEN = {
+    "x86_v4": X86_V4,
+    "baseline": {
+        **X86_V4,
+        "dense": {
+            "errors.csv": "29c01311d0212dde66891466e304a77ffec5d2ec1f330cf5864dcd08d8544a82",
+            "trajectories.csv": "9aa20e680936081510529d4a37bddc0205eb1d0df96693ee1070f1393c5d324b",
+            "summary.txt": "68546e8588e14120e60fcd2e92e0158ca5c6eeb8fd18b16801c0ed6ef157f1b3",
+        },
+        "poisson": {
+            "errors.csv": "ebcd0c5997e499d57b01a9f14a547d07909bf4430c09b52adf83fbf2e969dd9e",
+            "trajectories.csv": "4ebe54072c2e7ca6c3b80d3902f57500996cf0a7e03969667cb81fc0d57e5780",
+            "summary.txt": "cddc79c58d3784dc2141e37c577b82f1a0414cee1c739bd5999b84edc95960a2",
+        },
+    },
+}
+
 
 @pytest.mark.parametrize(
     "name, body", [("churn", CHURN), ("dense", DENSE), ("poisson", POISSON), ("single", SINGLE)]
@@ -133,8 +181,9 @@ def test_artifact_digests_are_pinned(tmp_path, monkeypatch, name, body):
     monkeypatch.setenv("RINGSUM_OUT", str(tmp_path / "out"))
     assert main(["simulate", "--config", str(cfg)]) == 0
     out_dir = tmp_path / "out" / name
+    golden = GOLDEN[simd_profile()][name]
     digests = {
         artifact: hashlib.sha256((out_dir / artifact).read_bytes()).hexdigest()
-        for artifact in GOLDEN[name]
+        for artifact in golden
     }
-    assert digests == GOLDEN[name]
+    assert digests == golden

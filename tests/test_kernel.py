@@ -1,4 +1,4 @@
-"""The trial-batched synchronous kernel against the round-by-round API."""
+"""The trial-batched synchronous kernel against the round-by-round engine."""
 import math
 
 import numpy as np
@@ -13,16 +13,12 @@ from ringsum import (
     NoiseSchedule,
     NoiseSource,
     ProtocolConfig,
-    ProtocolRun,
-    build_ring,
-    join,
-    leave,
     run_si,
-    si_step,
     window_sums,
 )
 from ringsum.engine import _fold_drift, simulate
-from ringsum.metrics import _dense_states, trial_windows
+from ringsum.metrics import trial_windows
+from stepping_engine import ProtocolRun, join, leave, si_step
 
 
 @st.composite
@@ -63,11 +59,11 @@ def churn_configs(draw):
 
 def _replay(config, trial):
     """run_si rebuilt from single rounds: the reference for the kernel."""
-    topo = build_ring(len(config.secrets))
+    nodes = list(range(1, len(config.secrets) + 1))
     run = ProtocolRun(
-        topo,
-        secrets=dict(zip(topo.nodes, config.secrets)),
-        schedules=dict(zip(topo.nodes, config.schedules)),
+        nodes,
+        secrets=dict(zip(nodes, config.secrets)),
+        schedules=dict(zip(nodes, config.schedules)),
         distribution=config.distribution,
         source=NoiseSource(config.rng_seed),
         trial=trial,
@@ -83,6 +79,10 @@ def _replay(config, trial):
         else:
             si_step(run)
     return run
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
 @settings(max_examples=40, deadline=None)
@@ -106,15 +106,19 @@ def test_batched_rows_equal_single_trial_runs(config, trials):
 @given(config=churn_configs(), trial=st.integers(0, 3))
 def test_run_si_equals_round_by_round_replay(config, trial):
     run, ref = run_si(config, trial=trial), _replay(config, trial)
-    assert run.trace == ref.trace
+    assert list(run.trace) == ref.trace
     assert run.members == ref.members
-    assert np.array_equal(run.x, ref.x)
+    assert np.array_equal(bits(run.x), bits(ref.x))
     assert run.max_rel_drift == ref.max_rel_drift
-    assert [(s.start_k, s.order, s.target) for s in run.segments] == [
+    assert run.k == ref.k
+    assert [(p.start_k, p.order, p.target) for p, _ in run.phases] == [
         (s.start_k, s.order, s.target) for s in ref.segments
     ]
-    for a, b in zip(run.segments, ref.segments):
-        assert np.array_equal(a.state_matrix(), b.state_matrix())
+    for (phase, states), seg in zip(run.phases, ref.segments, strict=True):
+        assert np.array_equal(bits(states), bits(seg.state_matrix()))
+        assert phase.stop_k == phase.start_k + len(states) - 1
+    # Every member shares one schedule here, so the oracle's flag is exact.
+    assert run.start_shift_applied == ref.start_shift_applied
 
 
 def test_events_at_one_time_and_a_leave_in_the_last_round():
@@ -131,9 +135,9 @@ def test_events_at_one_time_and_a_leave_in_the_last_round():
     assert simulate(config, 6, storage) <= 1e-10
     for t in (0, 5):
         run, ref = run_si(config, trial=t), _replay(config, t)
-        assert run.trace == ref.trace
-        for seg, states in zip(run.segments, storage):
-            assert np.array_equal(seg.state_matrix(), states[:, t])
+        assert list(run.trace) == ref.trace
+        for (_, single), states in zip(run.phases, storage, strict=True):
+            assert np.array_equal(single, states[:, t])
 
 
 class TestNonFinite:
@@ -142,7 +146,7 @@ class TestNonFinite:
             [1.0, 2.0, 3.0], NoiseSchedule.harmonic(1e308, 1.0), Distribution.GAUSSIAN, 5, 0
         )
         with np.errstate(all="ignore"):
-            _, dense_drift = _dense_states(cfg, trials=3)
+            dense_drift = simulate(cfg, 3, [np.empty((cfg.steps + 1, 3, 3))])
             single_drift = run_si(cfg).max_rel_drift
         assert math.isnan(dense_drift)
         assert math.isnan(single_drift)
@@ -152,11 +156,13 @@ class TestNonFinite:
         assert math.isnan(_fold_drift(0.0, np.array([[math.nan, 1.0, 2.0]]), 3.0))
 
     def test_round_by_round_drift_propagates_nan(self):
-        topo = build_ring(3)
+        # The replay oracle's drift must stay NaN too, or the replay test could
+        # not tell a NaN drift from a zero one.
+        nodes = [1, 2, 3]
         run = ProtocolRun(
-            topo,
+            nodes,
             secrets={1: math.nan, 2: 2.0, 3: 3.0},
-            schedules=dict.fromkeys(topo.nodes, NoiseSchedule.harmonic(1.0, 1.0)),
+            schedules=dict.fromkeys(nodes, NoiseSchedule.harmonic(1.0, 1.0)),
             distribution=Distribution.GAUSSIAN,
             source=NoiseSource(0),
         )

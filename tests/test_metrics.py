@@ -15,7 +15,8 @@ from ringsum import (
     trial_mean_estimates,
     window_sums,
 )
-from ringsum.metrics import _dense_states, trial_windows
+from ringsum.engine import simulate
+from ringsum.metrics import trial_windows
 
 ZERO = NoiseSchedule.harmonic(0.0, 1.0)
 HARM = NoiseSchedule.harmonic(3.0, 1.0)
@@ -41,7 +42,7 @@ class TestWindows:
 
     def test_estimator_matches_brute_force_column_sum(self):
         run = run_si(_config([1.0, 2.0, 3.0, 4.0], steps=12, seed=5))
-        states = run.segments[0].state_matrix()
+        states = run.phases[0][1]
         for k in (3, 7, 12):
             for j, node in enumerate(run.members):
                 assert estimator(run, node, k) == pytest.approx(
@@ -62,11 +63,6 @@ class TestWindows:
         # New segment starts at k=11; its first 3-state window ends at 13.
         assert second.k_end[0] == 13
 
-    def test_run_without_states_rejected(self):
-        run = run_si(_config([1.0, 2.0, 3.0]), record_states=False)
-        with pytest.raises(WindowNotFullError):
-            window_sums(run)
-
     def test_error_series_decays_for_decaying_noise(self):
         run = run_si(_config([1.0, 2.0, 3.0], GEO, steps=60, seed=3))
         ks, errs = error_series(run)
@@ -80,11 +76,11 @@ class TestDensePath:
     @pytest.mark.parametrize("schedule", [HARM, GEO, NoiseSchedule.harmonic(2.0, 0.0)])
     def test_dense_states_match_scalar_engine_bit_for_bit(self, dist, schedule):
         cfg = _config([1.0, 2.0, 3.0, 4.0], schedule, steps=25, seed=9, dist=dist)
-        states, drift = _dense_states(cfg, trials=3)
-        assert drift <= 1e-12
+        states = np.empty((cfg.steps + 1, 3, 4))
+        assert simulate(cfg, 3, [states]) <= 1e-12
         for t in range(3):
             run = run_si(cfg, trial=t, record_trace=False)
-            assert np.array_equal(run.segments[0].state_matrix(), states[:, t, :])
+            assert np.array_equal(run.phases[0][1], states[:, t, :])
 
     def test_trial_windows_event_path_matches_dense_path(self):
         cfg = _config([1.0, 2.0, 3.0], steps=15, seed=2)

@@ -1,4 +1,4 @@
-"""Domain-type validation: schedules, ring topology, protocol configs."""
+"""Domain-type validation: schedules, protocol configs and their phases."""
 import math
 
 import pytest
@@ -13,10 +13,6 @@ from ringsum import (
     Leave,
     NoiseSchedule,
     ProtocolConfig,
-    RingTopology,
-    TopologyError,
-    build_ring,
-    variance_at,
 )
 
 
@@ -38,7 +34,7 @@ class TestNoiseSchedule:
 
     def test_variance_is_scale_squared(self):
         sched = NoiseSchedule.geometric(2.0, 0.5)
-        assert variance_at(sched, 2) == pytest.approx(0.25)
+        assert sched.scale(2) ** 2 == pytest.approx(0.25)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -69,7 +65,7 @@ class TestNoiseSchedule:
     )
     def test_harmonic_variance_strictly_decreasing(self, c, d, k):
         sched = NoiseSchedule.harmonic(c, d)
-        assert variance_at(sched, k + 1) < variance_at(sched, k)
+        assert sched.scale(k + 1) < sched.scale(k)
 
     @given(
         c=st.floats(0.01, 1e6),
@@ -78,59 +74,40 @@ class TestNoiseSchedule:
     )
     def test_geometric_variance_decreasing(self, c, phi, k):
         sched = NoiseSchedule.geometric(c, phi)
-        later, earlier = variance_at(sched, k + 1), variance_at(sched, k)
+        later, earlier = sched.scale(k + 1), sched.scale(k)
         assert later <= earlier
         if later > 0.0:  # strictness holds until the scale underflows to zero
             assert later < earlier
 
 
 class TestRingTopology:
+    """The ring order that `ProtocolConfig.phases()` carries: each member sends
+    to the next one in `Phase.order`, the last to the first."""
+
+    @staticmethod
+    def _order(n, events=()):
+        cfg = ProtocolConfig.uniform(
+            range(1, n + 1), NoiseSchedule.harmonic(1.0, 1.0), Distribution.GAUSSIAN,
+            8, 0, events=events,
+        )
+        return cfg.phases()[-1].order
+
     def test_build_ring_order(self):
-        topo = build_ring(4)
-        assert topo.order_from(1) == [1, 2, 3, 4]
-        assert topo.successor[4] == 1
-        assert topo.predecessor(1) == 4
-
-    def test_rejects_two_nodes(self):
-        with pytest.raises(TopologyError):
-            build_ring(2)
-
-    def test_rejects_split_cycles(self):
-        # Two disjoint 2-cycles cover the node set but are not a single ring.
-        with pytest.raises(TopologyError):
-            RingTopology((1, 2, 3, 4), {1: 2, 2: 1, 3: 4, 4: 3})
-
-    def test_rejects_incomplete_successor_map(self):
-        with pytest.raises(TopologyError):
-            RingTopology((1, 2, 3), {1: 2, 2: 3})
+        assert self._order(4) == (1, 2, 3, 4)
 
     def test_leave_rewires_predecessor_to_successor(self):
-        topo = build_ring(4).with_leave(3)
-        assert topo.nodes == (1, 2, 4)
-        assert topo.successor[2] == 4
-        assert topo.order_from(1) == [1, 2, 4]
-
-    def test_leave_below_three_rejected(self):
-        with pytest.raises(TopologyError):
-            build_ring(3).with_leave(2)
+        assert self._order(4, (Leave(3, node=3),)) == (1, 2, 4)
 
     def test_join_inserts_after_anchor(self):
-        topo = build_ring(3).with_join(7, anchor=2)
-        assert topo.order_from(1) == [1, 2, 7, 3]
-
-    def test_join_duplicate_rejected(self):
-        with pytest.raises(TopologyError):
-            build_ring(3).with_join(2, anchor=1)
+        assert self._order(3, (Join(3, 7, anchor=2, secret=0.0),)) == (1, 2, 7, 3)
 
     def test_leave_then_rejoin_restores_order(self):
-        topo = build_ring(5).with_leave(4).with_join(4, anchor=3)
-        assert topo.order_from(1) == [1, 2, 3, 4, 5]
+        events = (Leave(3, node=4), Join(5, 4, anchor=3, secret=4.0))
+        assert self._order(5, events) == (1, 2, 3, 4, 5)
 
     @given(n=st.integers(3, 32))
     def test_order_walk_visits_every_node_once(self, n):
-        topo = build_ring(n)
-        order = topo.order_from(1)
-        assert sorted(order) == list(range(1, n + 1))
+        assert sorted(self._order(n)) == list(range(1, n + 1))
 
 
 class TestProtocolConfig:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ringsum import Distribution, NoiseSchedule, NoiseSource, sample_beta
+from ringsum import Distribution, NoiseSource
 
 u64 = st.integers(0, 2**64 - 1)
 small = st.integers(0, 2**20)
@@ -81,12 +81,6 @@ class TestMoments:
 
 
 class TestSampleBeta:
-    def test_uses_scheduled_scale(self):
-        src = NoiseSource(0)
-        sched = NoiseSchedule.geometric(2.0, 0.5)
-        direct = src.sample(3, 4, 0, sched.scale(4), Distribution.GAUSSIAN)
-        assert sample_beta(src, 3, 4, 0, sched, Distribution.GAUSSIAN) == direct
-
     def test_scale_zero_gives_zero_noise(self):
         src = NoiseSource(0)
         assert src.sample(1, 1, 1, 0.0, Distribution.LAPLACE) == 0.0

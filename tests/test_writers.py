@@ -1,12 +1,14 @@
 """The columnar CSV writers against the row-by-row writers they replaced.
 
 The oracle below is the csv.writer implementation the artifacts were first
-written with, kept verbatim so that any byte the columnar writers change
-shows up here, on random churn and on values no scenario produces (NaN,
+written with, kept verbatim (it reads a run's phases and their state arrays
+where it read segments) so that any byte the columnar writers change shows
+up here, on random churn and on values no scenario produces (NaN,
 infinities, -0.0, subnormals).
 """
 import csv
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +46,7 @@ def oracle_trajectories(path, run) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "node", "x", "y", "window_start_k", "abs_error"])
-        for seg in run.segments:
-            mat = seg.state_matrix()
+        for seg, mat in run.phases:
             for t in range(len(mat)):
                 k = seg.start_k + t
                 win = lookup.get(k)
@@ -188,10 +189,13 @@ SPECIAL = st.one_of(
 @given(data=st.data())
 def test_writers_match_oracle_on_non_finite_and_signed_zero_values(data):
     run = run_si(PHASE_SHORTER_THAN_N, record_trace=False)
-    for seg in run.segments:
-        seg.target = data.draw(SPECIAL)
-        seg.states = [np.array(data.draw(st.lists(SPECIAL, min_size=seg.n, max_size=seg.n)))
-                      for _ in seg.states]
+    phases = []
+    for phase, states in run.phases:
+        # A phase's target is the sum of its secrets: let one secret carry it.
+        special = replace(phase, secrets=(data.draw(SPECIAL),))
+        rows = [data.draw(st.lists(SPECIAL, min_size=phase.n, max_size=phase.n)) for _ in states]
+        phases.append((special, np.array(rows)))
+    run = replace(run, phases=tuple(phases))
     rows = data.draw(st.integers(0, 6))
     columns = [np.array(data.draw(st.lists(SPECIAL, min_size=rows, max_size=rows))) for _ in range(4)]
     agg = ErrorAggregate(np.arange(3, 3 + rows), *columns, trials=2)
