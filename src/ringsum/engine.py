@@ -11,8 +11,8 @@ as one (trials, n) state, phase by phase; `run_si` is its one-trial view.
 
 The Poisson-clock variant `run_ai` draws each node's clock gaps and betas in
 one block per node and merges the ticks by (time, node id); only the
-hand-off runs tick by tick. Its scales take the scalar path, so the run is
-bit for bit the one drawn one tick at a time.
+hand-off runs tick by tick. Its scales equal `NoiseSchedule.scale`'s bit
+for bit, so the run is the one drawn one tick at a time.
 
 Membership semantics:
   * A leave at step k replaces the round at k. The leaver sends its state
@@ -37,21 +37,15 @@ import numpy as np
 from .model import ConfigError, Family, NoiseSchedule, Phase, ProtocolConfig
 from .noise import NoiseSource
 
-# Noise values drawn per sampling call. Bounds the temporaries of the
-# counter hash while keeping a few hundred rounds per call at 1000 states.
+# Noise values drawn per sampling call: bounds the betas buffer while
+# keeping a few hundred rounds per call at 1000 states. The noise source
+# cuts each call into cache-sized blocks for its threads.
 NOISE_CHUNK = 1 << 18
 
 
 def _start_shifted(schedule: NoiseSchedule) -> bool:
     """Whether the schedule has no finite scale at k = 0 (harmonic, d = 0)."""
     return schedule.family is Family.HARMONIC and schedule.d == 0
-
-
-def _scale_with_start_shift(schedule: NoiseSchedule, k: int) -> float:
-    """v(k), substituting d = 1 at k = 0 for harmonic schedules with d = 0."""
-    if k == 0 and _start_shifted(schedule):
-        return schedule.c
-    return schedule.scale(k)
 
 
 def scale_column(schedule: NoiseSchedule, ks: np.ndarray) -> np.ndarray:
@@ -244,8 +238,8 @@ def run_ai(
 
     Each node's clock gaps and betas are drawn up front, one block each. Ticks
     merge by time, a tie going to the lower node id; only the hand-off runs
-    tick by tick. Scales take the scalar path (`scale_column` differs in the
-    last bits for geometric schedules), so the run is the tick-by-tick one.
+    tick by tick. Geometric scales take the scalar power (`scale_column`'s
+    np.power differs in the last bits), so the run is the tick-by-tick one.
     The result's one phase runs from step 0 to the tick count.
 
     Membership events are not supported here; the rewiring rules above are
@@ -265,12 +259,16 @@ def run_ai(
     pos = {node: j for j, node in enumerate(nodes)}
     js = np.array([pos[node] for node in tick_order], dtype=np.intp)
     betas, tick_counts = np.empty(len(js)), {}
-    for j, node in enumerate(nodes):
+    for j, (node, s) in enumerate(zip(nodes, phase.schedules)):
         mine = js == j
         m = tick_counts[node] = int(mine.sum())
-        scales = [_scale_with_start_shift(phase.schedules[j], k) for k in range(m)]
-        betas[mine] = source.sample(node, np.arange(m, dtype=np.uint64), trial, scales,
-                                    config.distribution)
+        ks = np.arange(m, dtype=np.uint64)
+        # c / (k + d) is one rounded add and one rounded divide on either
+        # path; c * phi**k keeps the scalar power, which np.power does not
+        # match in the last bits.
+        scales = scale_column(s, ks) if s.family is Family.HARMONIC else [
+            s.c * s.phi**k for k in range(m)]
+        betas[mine] = source.sample(node, ks, trial, scales, config.distribution)
 
     x, succ = np.asarray(phase.secrets, dtype=np.float64).tolist(), [*range(1, n), 0]
     states = np.empty((len(js) + 1, n))

@@ -94,6 +94,11 @@ def error_series(run: RunResult, parts: list[PhaseWindows] | None = None
 
 # -- Monte Carlo aggregation ------------------------------------------------
 
+# Steps per slice of the Monte Carlo statistics (at least 2): a slice's
+# temporaries are (trials, STAT_STEPS, n) values, 2 MB at 100 trials of 10
+# members.
+STAT_STEPS = 256
+
 
 @dataclass
 class ErrorAggregate:
@@ -143,16 +148,24 @@ def aggregate_trials(config: ProtocolConfig, trials: int) -> ErrorAggregate:
         return ErrorAggregate(np.array([], dtype=int), *[np.array([])] * 4, trials=trials)
     ks, maes, mae_ses, sumvars, sv_ses = [], [], [], [], []
     for p in parts:
-        dev = p.y - p.target
-        sae = np.abs(dev, out=dev).sum(axis=2)  # (trials, steps)
-        del dev  # free it before var() allocates its own temporary
-        maes.append(sae.mean(axis=0))
-        mae_ses.append(sae.std(axis=0, ddof=1) / math.sqrt(trials))
-        var = p.y.var(axis=0, ddof=1)  # (steps, n)
-        sumvars.append(var.sum(axis=1))
-        # Gaussian approximation: var(sample variance) ~ 2 sigma^4 / (T - 1).
-        sv_ses.append(np.sqrt((2.0 * var**2 / (trials - 1)).sum(axis=1)))
         ks.append(p.k_end)
+        # Slices of steps bound the temporaries; every (step, node) cell is
+        # still reduced over the trials of the same memory layout. numpy sums
+        # a trials-major slice of one step pairwise, and one of more steps row
+        # by row, as the whole phase, so a last single step joins the slice
+        # before it.
+        bounds = [*range(0, max(len(p.k_end) - 1, 1), STAT_STEPS), len(p.k_end)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            y = p.y[:, lo:hi]
+            dev = y - p.target
+            sae = np.abs(dev, out=dev).sum(axis=2)  # (trials, steps)
+            del dev  # free it before var() allocates its own temporary
+            maes.append(sae.mean(axis=0))
+            mae_ses.append(sae.std(axis=0, ddof=1) / math.sqrt(trials))
+            var = y.var(axis=0, ddof=1)  # (steps, n)
+            sumvars.append(var.sum(axis=1))
+            # Gaussian approximation: var(sample variance) ~ 2 sigma^4 / (T - 1).
+            sv_ses.append(np.sqrt((2.0 * var**2 / (trials - 1)).sum(axis=1)))
     return ErrorAggregate(
         ks=np.concatenate(ks),
         mean_abs_error=np.concatenate(maes),
@@ -167,6 +180,8 @@ def trial_mean_estimates(
     config: ProtocolConfig, trials: int, k_end: int
 ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """(nodes, mean of y_i(k_end) across trials, standard errors)."""
+    if trials < 2:
+        raise ValueError("a standard error needs at least 2 trials")
     parts = trial_windows(config, trials)
     for p in parts:
         idx = np.flatnonzero(p.k_end == k_end)

@@ -6,13 +6,24 @@ so parallel Monte Carlo trials reproduce bit-exactly regardless of
 evaluation order or thread count. Sampling is vectorized over any of the
 index arguments.
 
+One routine forms every draw. It fills the broadcast output in blocks of
+about NOISE_BLOCK values, in place, with three scratch buffers per thread,
+and shares the blocks of a larger call out over a pool of up to
+min(4, CPUs) threads (numpy releases the GIL inside its loops). A value
+depends only on its coordinates, and every value goes through the same
+operations in the same order, so the bits depend on neither the block size
+nor the thread count.
+
 Slot assignment per (node, step, trial):
   0, 1  - the protocol noise draw (two uniforms feed Box-Muller),
   2     - the Poisson-clock inter-tick gap of the asynchronous engine.
 """
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,26 +41,166 @@ SLOT_CLOCK = 2
 
 _SQRT3 = math.sqrt(3.0)
 
+# Values per block: a block's three scratch buffers (1.5 MB) stay in cache.
+NOISE_BLOCK = 1 << 16
 
-def _fmix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+_POOL = None  # the ThreadPoolExecutor of _pool()
+_POOL_LOCK = threading.Lock()
 
 
-def _hash(seed: int, node, k, trial, slot) -> np.ndarray:
-    """Hash the index tuple into a uint64 array (broadcasting over inputs)."""
+def _pool():
+    """The process's block workers, created on first use."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            # Imported here: a run whose calls fit in one block never loads it.
+            from concurrent.futures import ThreadPoolExecutor
+
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+            _POOL = ThreadPoolExecutor(min(4, cpus or 1), thread_name_prefix="ringsum-noise")
+        return _POOL
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the pool object but not its threads.
+    global _POOL
+    _POOL = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _fmix64(z: np.ndarray, tmp: np.ndarray) -> None:
+    """The splitmix64 finalizer, in place on `z`, with `tmp` as scratch."""
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        np.bitwise_xor(z, tmp, out=z)
+        np.multiply(z, mult, out=z)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    np.bitwise_xor(z, tmp, out=z)
+
+
+def _key(part: np.ndarray) -> np.ndarray:
+    return (part + _GOLDEN) * _MIX1
+
+
+def _blocks(shape: tuple[int, ...], size: int):
+    """Index tuples cutting a C-ordered array of `shape` into contiguous
+    blocks of at most `size` values: runs of rows along the leading axis,
+    or, where one row holds more than `size` values, blocks of each row."""
+    row = math.prod(shape[1:])
+    if row > size:
+        for i in range(shape[0]):
+            for sub in _blocks(shape[1:], size):
+                yield (slice(i, i + 1), *sub)
+    else:
+        step = size // row
+        for lo in range(0, shape[0], step):
+            yield (slice(lo, lo + step),)
+
+
+def _rows(a: np.ndarray, idx: tuple) -> np.ndarray:
+    """The part of operand `a` that broadcasts onto block `idx` of the output."""
+    return a[tuple(s if n > 1 else slice(None) for s, n in zip(idx, a.shape))]
+
+
+def _fill(out, idx, buf, prefix, trial, slot_keys, kind, param) -> None:
+    """Draw block `idx` of `out` with the scratch buffers `buf`.
+
+    The operations and their order are those of the draw written out:
+    z = fmix(fmix(prefix ^ key(trial)) ^ key(slot)), u = ((z >> 11) + 0.5)
+    * 2**-53, then the transform of `kind`, whose `param` the caller has
+    prepared (products are commutative in IEEE arithmetic, so the operand
+    order inside one product does not matter).
+    """
+    o = out[idx]
+    a, b, f = (x[: o.size].reshape(o.shape) for x in buf)
+    tmp = f.view(np.uint64)
+    p = None if param is None else _rows(param, idx)
+
+    def uniform(slot_key, u):
+        np.bitwise_xor(a, _rows(slot_key, idx), out=b)
+        _fmix64(b, tmp)
+        np.right_shift(b, np.uint64(11), out=b)
+        np.add(b, 0.5, out=u)
+        np.multiply(u, 2.0**-53, out=u)
+
     with np.errstate(over="ignore"):
-        z = _fmix64(np.uint64(seed & _MASK64) + _GOLDEN)
-        for part in (node, k, trial, slot):
-            p = np.asarray(part, dtype=np.uint64)
-            z = _fmix64(z ^ ((p + _GOLDEN) * _MIX1))
-        return z
+        np.bitwise_xor(_rows(prefix, idx), _key(_rows(trial, idx)), out=a)
+        _fmix64(a, b)
+    if kind is Distribution.GAUSSIAN:  # scale * sqrt(-2 log u1) * cos(2 pi u2)
+        uniform(slot_keys[1], o)
+        np.multiply(o, 2.0 * np.pi, out=o)
+        np.cos(o, out=o)
+        uniform(slot_keys[0], f)
+        np.log(f, out=f)
+        np.multiply(f, -2.0, out=f)
+        np.sqrt(f, out=f)
+        np.multiply(f, o, out=o)
+        np.multiply(o, p, out=o)
+        return
+    uniform(slot_keys[0], o)
+    if kind is Distribution.LAPLACE:  # (-scale * sign(t)) * log1p(-2|t|), t = u - 1/2
+        np.subtract(o, 0.5, out=o)
+        np.abs(o, out=f)
+        np.multiply(f, -2.0, out=f)
+        np.log1p(f, out=f)
+        np.sign(o, out=o)
+        np.multiply(o, p, out=o)
+        np.multiply(o, f, out=o)
+    elif kind is Distribution.UNIFORM_SYMMETRIC:  # (scale * sqrt 3) * (2u - 1)
+        np.multiply(o, 2.0, out=o)
+        np.subtract(o, 1.0, out=o)
+        np.multiply(o, p, out=o)
+    elif kind == "clock":  # -log(u) / rate
+        np.log(o, out=o)
+        np.negative(o, out=o)
+        np.divide(o, p, out=o)
 
 
-def _to_unit(z: np.ndarray) -> np.ndarray:
-    # Open interval (0, 1): the +0.5 keeps log() and log1p() finite.
-    return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+def _draw(seed: int, node, k, trial, slots, kind, param=None):
+    """Draws of `kind` ("uniform", "clock" or a Distribution) broadcast over
+    the coordinates and `param`; a float if every input is a scalar. The
+    Gaussian takes two slots, the other kinds one."""
+    coords = [np.asarray(x, dtype=np.uint64) for x in (node, k, trial, *slots)]
+    operands = coords if param is None else [*coords, np.asarray(param)]
+    shape = np.broadcast(*operands).shape
+    nd = max(1, len(shape))
+    node, k, trial, *rest = (x.reshape((1,) * (nd - x.ndim) + x.shape) for x in operands)
+    slots, param = rest[: len(slots)], None if param is None else rest[-1]
+    out = np.empty(shape or (1,))
+    if out.size:
+        prefix = np.full(np.broadcast(node, k).shape, seed & _MASK64, np.uint64)
+        with np.errstate(over="ignore"):
+            np.add(prefix, _GOLDEN, out=prefix)
+            tmp = np.empty_like(prefix)
+            _fmix64(prefix, tmp)
+            for part in (node, k):
+                np.bitwise_xor(prefix, _key(part), out=prefix)
+                _fmix64(prefix, tmp)
+            slot_keys = [_key(slot) for slot in slots]
+        blocks = list(_blocks(out.shape, NOISE_BLOCK))
+        size = min(out.size, NOISE_BLOCK)
+        scratch = threading.local()  # per call: freed on return
+
+        def run(idx):
+            if not hasattr(scratch, "buf"):
+                scratch.buf = (np.empty(size, np.uint64), np.empty(size, np.uint64), np.empty(size))
+            _fill(out, idx, scratch.buf, prefix, trial, slot_keys, kind, param)
+
+        if len(blocks) == 1:
+            run(blocks[0])
+        else:
+            # Each block runs in a copy of the caller's context, so the
+            # caller's numpy error state holds in the workers too.
+            pool = _pool()
+            futures = [pool.submit(contextvars.copy_context().run, run, idx) for idx in blocks]
+            # Every block finishes before an error is raised: none runs on.
+            errors = [e for e in (future.exception() for future in futures) if e is not None]
+            if errors:
+                raise errors[0]
+    return float(out[0]) if not shape else out
 
 
 @dataclass(frozen=True)
@@ -60,8 +211,7 @@ class NoiseSource:
 
     def uniform(self, node, k, trial, slot) -> np.ndarray | float:
         """A uniform (0,1) draw for the given stream coordinates."""
-        u = _to_unit(_hash(self.master_seed, node, k, trial, slot))
-        return float(u) if u.ndim == 0 else u
+        return _draw(self.master_seed, node, k, trial, (slot,), "uniform")
 
     def sample(self, node, k, trial, scale, dist: Distribution):
         """Zero-mean sample(s) at the given scale.
@@ -69,25 +219,17 @@ class NoiseSource:
         Gaussian / symmetric-uniform treat `scale` as the standard deviation;
         Laplace treats it as the scale parameter b (variance 2 b**2).
         """
-        u1 = _to_unit(_hash(self.master_seed, node, k, trial, SLOT_BETA))
         scale = np.asarray(scale, dtype=np.float64)
-        if dist is Distribution.GAUSSIAN:
-            u2 = _to_unit(_hash(self.master_seed, node, k, trial, SLOT_BETA_AUX))
-            z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-            out = scale * z
-        elif dist is Distribution.LAPLACE:
-            # Branchless inverse CDF: sign(t) * -ln(1 - 2|t|), t = u - 1/2.
-            t = u1 - 0.5
-            out = -scale * np.sign(t) * np.log1p(-2.0 * np.abs(t))
+        if dist is Distribution.LAPLACE:
+            scale = -scale
         elif dist is Distribution.UNIFORM_SYMMETRIC:
-            out = scale * _SQRT3 * (2.0 * u1 - 1.0)
-        else:  # pragma: no cover - enum is closed
+            scale = scale * _SQRT3
+        elif dist is not Distribution.GAUSSIAN:  # pragma: no cover - enum is closed
             raise ValueError(f"unknown distribution {dist}")
-        return float(out) if out.ndim == 0 else out
+        slots = (SLOT_BETA, SLOT_BETA_AUX) if dist is Distribution.GAUSSIAN else (SLOT_BETA,)
+        return _draw(self.master_seed, node, k, trial, slots, dist, scale)
 
     def clock_gap(self, node, tick_index, trial, rate: float):
         """Exponential inter-tick gap with the given Poisson rate."""
-        u = _to_unit(_hash(self.master_seed, node, tick_index, trial, SLOT_CLOCK))
-        gap = -np.log(u) / rate
-        return float(gap) if gap.ndim == 0 else gap
-
+        return _draw(self.master_seed, node, tick_index, trial, (SLOT_CLOCK,), "clock",
+                     np.asarray(rate, dtype=np.float64))

@@ -4,7 +4,8 @@ The oracle below is the engine that merged the nodes' Poisson clocks in a
 heap and drew one clock gap and one beta per tick, kept verbatim (only the
 function is renamed, and its run type now comes from `stepping_engine`) so
 that any bit the vectorized `run_ai` changes shows up here: in the states,
-the trace, the tick counts, the tick order or the drift, NaN included.
+the trace, the tick counts, the tick order or the drift, NaN included. Its
+per-tick scale, which `run_ai` no longer calls, is kept verbatim too.
 """
 import heapq
 import math
@@ -21,11 +22,18 @@ from ringsum import (
     ProtocolConfig,
     run_ai,
 )
-from ringsum.engine import FIRST_GAPS, _poisson_ticks, _scale_with_start_shift
+from ringsum.engine import FIRST_GAPS, _poisson_ticks, _start_shifted
 from stepping_engine import ProtocolRun
 
 
 # -- the heap-clock oracle ----------------------------------------------------
+
+
+def _scale_with_start_shift(schedule: NoiseSchedule, k: int) -> float:
+    """v(k), substituting d = 1 at k = 0 for harmonic schedules with d = 0."""
+    if k == 0 and _start_shifted(schedule):
+        return schedule.c
+    return schedule.scale(k)
 
 
 class AsyncClock:
@@ -145,6 +153,8 @@ def both(config, rate, horizon, **kwargs):
 SCHEDULES = {
     "harmonic_d1": lambda c: NoiseSchedule.harmonic(c, 1.0),
     "harmonic_d0": lambda c: NoiseSchedule.harmonic(c, 0.0),
+    # k + d rounds here, as c / (k + d) does at every d.
+    "harmonic_d03": lambda c: NoiseSchedule.harmonic(c, 0.3),
     "geometric": lambda c: NoiseSchedule.geometric(c, 0.999),
 }
 

@@ -6,6 +6,7 @@ from ringsum import (
     Distribution,
     Leave,
     NoiseSchedule,
+    NoiseSource,
     ProtocolConfig,
     WindowNotFullError,
     aggregate_trials,
@@ -134,3 +135,12 @@ class TestAggregation:
         cfg = _config([1.0, 2.0, 3.0], steps=10)
         with pytest.raises(WindowNotFullError):
             trial_mean_estimates(cfg, trials=3, k_end=999)
+
+    @pytest.mark.parametrize("trials", [0, 1])
+    def test_trial_mean_estimates_needs_two_trials_before_any_draw(self, monkeypatch, trials):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("noise drawn before the trial count was checked")
+
+        monkeypatch.setattr(NoiseSource, "sample", no_draws)
+        with pytest.raises(ValueError, match="at least 2 trials"):
+            trial_mean_estimates(_config([1.0, 2.0, 3.0]), trials=trials, k_end=30)
