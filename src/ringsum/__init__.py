@@ -7,7 +7,6 @@ differential-privacy auditor, and the noise-parameter tradeoff solver.
 
 from .model import (
     ConfigError,
-    DegenerateScheduleError,
     Distribution,
     Family,
     Join,

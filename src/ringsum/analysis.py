@@ -145,13 +145,19 @@ def epsilon_total(
             f"the differential-privacy guarantee is proven for Laplace noise only, "
             f"got {distribution.value}"
         )
-    if delta < 0:
-        raise ConfigError(f"adjacency radius must be nonnegative, got {delta}")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ConfigError(f"adjacency radius must be finite and >= 0, got {delta}")
     if K < 1:
-        raise ConfigError(f"step count must be >= 1, got {K}")
+        raise ConfigError(f"step count K must be >= 1, got {K}")
+    if delta == 0 or agg.c_m == 0:
+        # Nothing to hide, or no noise to hide it: every step costs 0, or inf.
+        total = 0.0 if delta == 0 else math.inf
+        log_total = math.log(total) if total else -math.inf
+        shifted = total if agg.family is Family.HARMONIC and agg.d_M == 0 else None
+        return PrivacyBudget(agg.family, delta, K, np.full(K, log_total), total, log_total, shifted)
 
     ks = np.arange(K, dtype=np.float64)
-    log_base = math.log(delta / agg.c_m) if delta > 0 else -math.inf
+    log_base = math.log(delta / agg.c_m)
     shifted = None
     with np.errstate(divide="ignore"):
         if agg.family is Family.HARMONIC:
@@ -172,15 +178,7 @@ def epsilon_total(
             )
             with np.errstate(over="ignore"):
                 total = float(np.exp(log_total))
-    return PrivacyBudget(
-        family=agg.family,
-        delta=delta,
-        K=K,
-        log_per_step=log_per_step,
-        total=total,
-        log_total=log_total,
-        total_start_shifted=shifted,
-    )
+    return PrivacyBudget(agg.family, delta, K, log_per_step, total, log_total, shifted)
 
 
 # -- empirical DP audit -------------------------------------------------------
@@ -266,6 +264,13 @@ def dp_audit(
         raise ConfigError("density-ratio audit is limited to n <= 4, K <= 3")
     if config.events:
         raise ConfigError("audit runs on event-free configurations")
+    agg = ScheduleAggregates.from_schedules(config.schedules)
+    budget = epsilon_total(agg, delta, K, config.distribution)  # checks delta and K
+    if samples < 1:
+        raise ConfigError(f"audit needs samples >= 1, got {samples}")
+    if agg.c_m == 0:
+        # Without noise the budget is infinite and no observation could fail it.
+        raise ConfigError(f"audit needs noise on every node, got c = {agg.c_m}")
     if min_bin_count is None:
         min_bin_count = max(500, samples // 400)
 
@@ -294,8 +299,6 @@ def dp_audit(
         raise InsufficientSamplesError(
             f"no histogram bin reached {min_bin_count} samples on both sides"
         )
-    agg = ScheduleAggregates.from_schedules(config.schedules)
-    budget = epsilon_total(agg, delta, K, config.distribution)
     # The traces were sampled with the k = 0 start shift, so they must meet
     # the budget that includes it.
     epsilon = budget.total if budget.total_start_shifted is None else budget.total_start_shifted

@@ -11,8 +11,8 @@ as one (trials, n) state, phase by phase; `run_si` is its one-trial view.
 
 The Poisson-clock variant `run_ai` draws each node's clock gaps and betas in
 one block per node and merges the ticks by (time, node id); only the
-hand-off runs tick by tick. Its scales equal `NoiseSchedule.scale`'s bit
-for bit, so the run is the one drawn one tick at a time.
+hand-off runs tick by tick. Both variants take every scale from
+`NoiseSchedule.scale`, so one config gets the same noise on either.
 
 Membership semantics:
   * A leave at step k replaces the round at k. The leaver sends its state
@@ -23,9 +23,10 @@ Membership semantics:
     is inserted after its anchor node with state equal to its secret.
 Both transitions conserve the member sum exactly (up to roundoff).
 
-Harmonic schedules with d = 0 have no finite scale at k = 0; runs substitute
-d = 1 for the k = 0 draw only and flag it (`start_shift_applied`), which the
-privacy accounting mirrors.
+Harmonic schedules with d = 0 have no finite scale at k = 0;
+`NoiseSchedule.scale` substitutes d = 1 for the k = 0 draw only, and runs
+that draw at k = 0 flag it (`start_shift_applied`), which the privacy
+accounting mirrors.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ConfigError, Family, NoiseSchedule, Phase, ProtocolConfig
+from .model import ConfigError, Phase, ProtocolConfig
 from .noise import NoiseSource
 
 # Noise values drawn per sampling call: bounds the betas buffer while
@@ -43,29 +44,10 @@ from .noise import NoiseSource
 NOISE_CHUNK = 1 << 18
 
 
-def _start_shifted(schedule: NoiseSchedule) -> bool:
-    """Whether the schedule has no finite scale at k = 0 (harmonic, d = 0)."""
-    return schedule.family is Family.HARMONIC and schedule.d == 0
-
-
-def scale_column(schedule: NoiseSchedule, ks: np.ndarray) -> np.ndarray:
-    """Vectorized v(k) over integer steps, with the same d = 0 substitution.
-
-    Every synchronous path samples scales through this one routine so that
-    scalar and batched runs see bit-identical noise.
-    """
-    ks_f = np.asarray(ks, dtype=np.float64)
-    if schedule.family is Family.HARMONIC:
-        if schedule.d == 0:
-            return schedule.c / np.maximum(ks_f, 1.0)
-        return schedule.c / (ks_f + schedule.d)
-    return schedule.c * schedule.phi**ks_f
-
-
 def noise_block(source, dist, order, schedules, ks, trials) -> np.ndarray:
     """beta for every step in `ks`, trial and member: shape (len(ks), trials, n)."""
     ks = np.asarray(ks, dtype=np.uint64)
-    scales = np.stack([scale_column(s, ks) for s in schedules], axis=1)[:, None, :]
+    scales = np.stack([s.scale(ks) for s in schedules], axis=1)[:, None, :]
     return source.sample(np.array(order, dtype=np.uint64), ks[:, None, None], trials, scales, dist)
 
 
@@ -189,7 +171,7 @@ def run_si(config: ProtocolConfig, trial: int = 0, record_trace: bool = True,
     # in a join at k = 0.
     first = next(p for p in phases if p.stop_k > 0 or p.leaver is not None)
     return RunResult(tuple(zip(phases, map(_frozen, storage))), drift,
-                     any(map(_start_shifted, first.schedules)), config.steps,
+                     any(s.start_shifted for s in first.schedules), config.steps,
                      tuple(trace) if record_trace else None)
 
 
@@ -238,9 +220,7 @@ def run_ai(
 
     Each node's clock gaps and betas are drawn up front, one block each. Ticks
     merge by time, a tie going to the lower node id; only the hand-off runs
-    tick by tick. Geometric scales take the scalar power (`scale_column`'s
-    np.power differs in the last bits), so the run is the tick-by-tick one.
-    The result's one phase runs from step 0 to the tick count.
+    tick by tick. The result's one phase runs from step 0 to the tick count.
 
     Membership events are not supported here; the rewiring rules above are
     defined for the synchronous rounds only.
@@ -263,12 +243,7 @@ def run_ai(
         mine = js == j
         m = tick_counts[node] = int(mine.sum())
         ks = np.arange(m, dtype=np.uint64)
-        # c / (k + d) is one rounded add and one rounded divide on either
-        # path; c * phi**k keeps the scalar power, which np.power does not
-        # match in the last bits.
-        scales = scale_column(s, ks) if s.family is Family.HARMONIC else [
-            s.c * s.phi**k for k in range(m)]
-        betas[mine] = source.sample(node, ks, trial, scales, config.distribution)
+        betas[mine] = source.sample(node, ks, trial, s.scale(ks), config.distribution)
 
     x, succ = np.asarray(phase.secrets, dtype=np.float64).tolist(), [*range(1, n), 0]
     states = np.empty((len(js) + 1, n))
@@ -281,7 +256,7 @@ def run_ai(
     if record_trace:  # each message again, from the state the tick started in
         d = states[np.arange(len(js)), js] - betas
         trace = tuple(zip(range(len(js)), [nodes[j] for j in js.tolist()], d.tolist()))
-    shifted = any(_start_shifted(s) for s, node in zip(phase.schedules, nodes) if tick_counts[node])
+    shifted = any(s.start_shifted for s, node in zip(phase.schedules, nodes) if tick_counts[node])
     return RunResult(((replace(phase, stop_k=len(js)), _frozen(states)),),
                      _fold_drift(0.0, states[1:], phase.target), shifted, len(js), trace,
                      tick_counts)

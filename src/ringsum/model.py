@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 
 class RingSumError(Exception):
     """Base class for all errors raised by this package."""
-
-
-class DegenerateScheduleError(RingSumError, ValueError):
-    """Noise schedule evaluated where its scale is undefined (k + d = 0)."""
 
 
 class ConfigError(RingSumError, ValueError):
@@ -78,16 +76,19 @@ class NoiseSchedule:
     def geometric(cls, c: float, phi: float) -> "NoiseSchedule":
         return cls(Family.GEOMETRIC, c, phi=phi)
 
-    def scale(self, k: int) -> float:
-        """The noise magnitude v(k); raises if the harmonic form is undefined."""
-        if self.family is Family.HARMONIC:
-            denom = k + self.d
-            if denom <= 0:
-                raise DegenerateScheduleError(
-                    f"harmonic schedule undefined at k={k} with d={self.d}"
-                )
-            return self.c / denom
-        return self.c * self.phi**k
+    @property
+    def start_shifted(self) -> bool:
+        """Harmonic with d = 0: v(0) is undefined, so `scale` takes d = 1 at k = 0."""
+        return self.family is Family.HARMONIC and self.d == 0
+
+    def scale(self, ks: np.ndarray) -> np.ndarray:
+        """v(k) at each step of the 1-D integer array `ks`, as float64: the one
+        evaluator every run draws at. The geometric power is Python's, whose
+        bits do not depend on numpy's SIMD target."""
+        if self.family is Family.GEOMETRIC:
+            return np.array([self.c * self.phi**k for k in ks.tolist()], dtype=np.float64)
+        ks = ks.astype(np.float64)
+        return self.c / (np.maximum(ks, 1.0) if self.start_shifted else ks + self.d)
 
 
 @dataclass(frozen=True)

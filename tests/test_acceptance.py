@@ -46,7 +46,6 @@ from ringsum import (
     variance_bound,
 )
 from ringsum.cli import load_scenario
-from ringsum.engine import scale_column
 from ringsum.tradeoff import cubic, upper_bracket
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "example2.cfg"
@@ -300,7 +299,7 @@ def test_acceptance_8_structural_oracles():
         x = secrets.astype(np.float64)
         states = run.phases[0][1]
         for k in range(100):
-            scale = scale_column(schedule, np.array([k], dtype=np.uint64))[0]
+            scale = schedule.scale(np.array([k]))[0]
             beta = src.sample(nodes, k, 0, scale, cfg.distribution)
             x = a @ x + (eye - a) @ beta
             ok &= bool(np.all(np.abs(x - states[k + 1]) <= 1e-12))

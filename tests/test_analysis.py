@@ -20,6 +20,7 @@ from ringsum import (
     utility_bound,
     variance_bound,
 )
+from ringsum import analysis
 from ringsum.analysis import _sample_traces
 from ringsum.engine import noise_block
 from ringsum.noise import NoiseSource
@@ -29,6 +30,10 @@ HARM1000 = NoiseSchedule.harmonic(1000.0, 1.0)
 
 def _agg(*schedules):
     return ScheduleAggregates.from_schedules(schedules)
+
+
+def _no_draw(*_):
+    raise AssertionError("the audit drew traces before checking its arguments")
 
 
 class TestAggregates:
@@ -124,6 +129,23 @@ class TestPrivacyBudget:
         budget = epsilon_total(agg, 0.0, 5, Distribution.LAPLACE)
         assert budget.total == 0.0
 
+    @pytest.mark.parametrize(
+        "schedule", [NoiseSchedule.harmonic(0.0, 0.0), NoiseSchedule.harmonic(0.0, 1.0),
+                     NoiseSchedule.geometric(0.0, 0.5)])
+    def test_zero_noise_gives_infinite_budget_unless_delta_is_zero(self, schedule):
+        budget = epsilon_total(_agg(schedule), 1.0, 3, Distribution.LAPLACE)
+        assert budget.total == budget.log_total == math.inf
+        assert np.all(budget.per_step == math.inf) and budget.per_step.shape == (3,)
+        assert budget.total_start_shifted == (math.inf if schedule.start_shifted else None)
+        budget = epsilon_total(_agg(schedule), 0.0, 3, Distribution.LAPLACE)
+        assert budget.total == 0.0 and budget.log_total == -math.inf
+        assert np.all(budget.per_step == 0.0)
+
+    @pytest.mark.parametrize("delta", [-1.0, math.nan, math.inf, -math.inf])
+    def test_invalid_delta_rejected(self, delta):
+        with pytest.raises(ConfigError):
+            epsilon_total(_agg(HARM1000), delta, 3, Distribution.LAPLACE)
+
 
 class TestAudit:
     def _config(self, schedule, seed=0):
@@ -169,6 +191,19 @@ class TestAudit:
             d = x - beta
             assert np.array_equal(traces[k].view(np.uint64), d.T.view(np.uint64))
             x = beta + np.roll(d, 1, axis=1)
+
+    @pytest.mark.parametrize(
+        "c, delta, K, samples",
+        [(1.0, 1.0, 0, 1000), (1.0, 1.0, -1, 1000), (1.0, 1.0, 1, 0), (1.0, 1.0, 1, -5),
+         (1.0, math.nan, 1, 1000), (1.0, -1.0, 1, 1000), (0.0, 1.0, 1, 1000)],
+        ids=["K-zero", "K-negative", "samples-zero", "samples-negative", "delta-nan",
+             "delta-negative", "no-noise"],
+    )
+    def test_invalid_arguments_rejected_before_any_draw(self, monkeypatch, c, delta, K, samples):
+        monkeypatch.setattr(analysis, "_sample_traces", _no_draw)
+        cfg = self._config(NoiseSchedule.harmonic(c, 1.0))
+        with pytest.raises(ConfigError):
+            dp_audit(cfg, delta, K, samples)
 
     def test_large_instances_refused(self):
         cfg = ProtocolConfig.uniform(

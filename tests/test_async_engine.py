@@ -5,7 +5,8 @@ heap and drew one clock gap and one beta per tick, kept verbatim (only the
 function is renamed, and its run type now comes from `stepping_engine`) so
 that any bit the vectorized `run_ai` changes shows up here: in the states,
 the trace, the tick counts, the tick order or the drift, NaN included. Its
-per-tick scale, which `run_ai` no longer calls, is kept verbatim too.
+per-tick scale is the scalar formula written out, apart from the
+`NoiseSchedule.scale` that `run_ai` calls.
 """
 import heapq
 import math
@@ -17,12 +18,13 @@ from hypothesis import example, given, settings, strategies as st
 from ringsum import (
     ConfigError,
     Distribution,
+    Family,
     NoiseSchedule,
     NoiseSource,
     ProtocolConfig,
     run_ai,
 )
-from ringsum.engine import FIRST_GAPS, _poisson_ticks, _start_shifted
+from ringsum.engine import FIRST_GAPS, _poisson_ticks
 from stepping_engine import ProtocolRun
 
 
@@ -31,9 +33,11 @@ from stepping_engine import ProtocolRun
 
 def _scale_with_start_shift(schedule: NoiseSchedule, k: int) -> float:
     """v(k), substituting d = 1 at k = 0 for harmonic schedules with d = 0."""
-    if k == 0 and _start_shifted(schedule):
+    if schedule.family is Family.GEOMETRIC:
+        return schedule.c * schedule.phi**k
+    if k == 0 and schedule.d == 0:
         return schedule.c
-    return schedule.scale(k)
+    return schedule.c / (k + schedule.d)
 
 
 class AsyncClock:

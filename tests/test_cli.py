@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ringsum import ConfigError, Distribution, Family, Join, Leave
+from ringsum import ConfigError, Distribution, Family, Join, Leave, analysis
 from ringsum.cli import load_scenario, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -258,6 +258,17 @@ class TestSimulateCommand:
         assert budget["epsilon_start_shifted"] == "23.0"
         assert "EPSILON delta 1.0 K 10 total 23.0 start_shifted" in summary
 
+    def test_laplace_without_noise_writes_every_artifact_with_infinite_budget(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setenv("RINGSUM_OUT", str(tmp_path / "out"))
+        body = BASIC.replace("family = geometric\n    c = 1.0\n    phi = 0.5",
+                             "family = harmonic\n    c = 0\n    d = 1")
+        main(["simulate", "--config", str(_write_scenario(tmp_path, body))])
+        out_dir = tmp_path / "out" / "basic"
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "errors.csv", "summary.txt", "trajectories.csv"]
+        assert "EPSILON delta 1.0 K 40 total inf" in (out_dir / "summary.txt").read_text()
+
     def test_malformed_config_exits_nonzero(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RINGSUM_OUT", str(tmp_path / "out"))
         bad = tmp_path / "bad.cfg"
@@ -282,6 +293,28 @@ class TestThinSubcommands:
         assert code == 0
         values = dict(line.split() for line in capsys.readouterr().out.splitlines())
         assert float(values["epsilon"]) == pytest.approx(1.0)
+
+    def test_budget_without_noise_is_infinite(self, capsys):
+        assert main(["budget", "--family", "harmonic", "--c", "0", "--d", "1",
+                     "--delta", "1", "--K", "3"]) == 0
+        values = dict(line.split() for line in capsys.readouterr().out.splitlines())
+        assert values == {"epsilon": "inf", "log_epsilon": "inf"}
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--K", "0"), ("--samples", "0"), ("--samples", "-5"), ("--delta", "nan"),
+         ("--delta", "-1"), ("--c", "0")],
+        ids=["K-zero", "samples-zero", "samples-negative", "delta-nan", "delta-negative",
+             "no-noise"],
+    )
+    def test_audit_rejects_invalid_arguments_before_any_draw(self, monkeypatch, capsys, flag, value):
+        def no_draw(*_):
+            raise AssertionError("the audit drew traces before checking its arguments")
+
+        monkeypatch.setattr(analysis, "_sample_traces", no_draw)
+        args = {"--c": "1", "--d": "1", "--K": "2", "--delta": "1", "--samples": "1000", flag: value}
+        assert main(["audit", "--family", "harmonic", *(x for kv in args.items() for x in kv)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_tradeoff_matches_solver(self, capsys):
         from ringsum import TradeoffProblem, solve_harmonic

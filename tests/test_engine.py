@@ -15,7 +15,6 @@ from ringsum import (
     run_ai,
     run_si,
 )
-from ringsum.engine import scale_column
 from ringsum.analysis import shift_matrix
 from stepping_engine import MembershipError, ProtocolRun, leave, si_step
 
@@ -60,10 +59,31 @@ class TestSynchronousStep:
         x = np.array(cfg.secrets)
         nodes = np.arange(1, 6, dtype=np.uint64)
         for k in range(cfg.steps):
-            scale = scale_column(cfg.schedules[0], np.array([k], dtype=np.uint64))[0]
+            scale = cfg.schedules[0].scale(np.array([k]))[0]
             beta = src.sample(nodes, k, 0, scale, cfg.distribution)
             x = a @ x + (np.eye(5) - a) @ beta
         assert np.allclose(x, run.x, rtol=0, atol=1e-12)
+
+    def test_geometric_draws_take_the_python_power(self, monkeypatch):
+        # On AVX-512, np.power(0.9, k) and 0.9**k differ in the last bit at
+        # k = 12, 23 and 40; the run must draw at the latter.
+        c, phi = 20.0, 0.9
+        cfg = _config([1.5, 2.5, -6.0], NoiseSchedule.geometric(c, phi), Distribution.LAPLACE,
+                      steps=41, seed=11)
+        drawn, sample = [], NoiseSource.sample
+
+        def recording_sample(self, *args):
+            drawn.append(sample(self, *args))
+            return drawn[-1]
+
+        monkeypatch.setattr(NoiseSource, "sample", recording_sample)
+        run_si(cfg, record_trace=False)
+        monkeypatch.undo()
+        (betas,) = drawn  # one block: (steps, trials, n)
+        src = NoiseSource(cfg.rng_seed)
+        for k in (12, 23, 40):
+            want = [src.sample(node, k, 0, c * phi**k, cfg.distribution) for node in (1, 2, 3)]
+            assert betas[k, 0].view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
 
     def test_trace_records_every_masked_message(self):
         cfg = _config([1.0, 2.0, 3.0], steps=4)
@@ -251,8 +271,3 @@ class TestStartShift:
         cfg = _config([1.0, 2.0, 3.0], NoiseSchedule.harmonic(2.0, 0.0))
         assert run_ai(cfg, rate=1.0, horizon=1.0, tick_order=[2]).start_shift_applied
         assert not run_ai(cfg, rate=1.0, horizon=1.0, tick_order=[]).start_shift_applied
-
-    def test_scale_column_substitutes_only_step_zero(self):
-        sched = NoiseSchedule.harmonic(2.0, 0.0)
-        col = scale_column(sched, np.arange(4, dtype=np.uint64))
-        assert list(col) == [2.0, 2.0, 1.0, 2.0 / 3.0]

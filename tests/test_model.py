@@ -1,12 +1,12 @@
 """Domain-type validation: schedules, protocol configs and their phases."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from ringsum import (
     ConfigError,
-    DegenerateScheduleError,
     Distribution,
     Family,
     Join,
@@ -18,23 +18,33 @@ from ringsum import (
 
 class TestNoiseSchedule:
     def test_harmonic_scale_formula(self):
-        sched = NoiseSchedule.harmonic(1000.0, 1.0)
-        assert sched.scale(0) == 1000.0
-        assert sched.scale(999) == 1.0
+        scales = NoiseSchedule.harmonic(1000.0, 1.0).scale(np.array([0, 999], dtype=np.uint64))
+        assert scales.dtype == np.float64
+        assert scales.tolist() == [1000.0, 1.0]
 
     def test_geometric_scale_formula(self):
-        sched = NoiseSchedule.geometric(1.0, 0.5)
-        assert sched.scale(3) == 0.125
+        scales = NoiseSchedule.geometric(1.0, 0.5).scale(np.array([3], dtype=np.uint64))
+        assert scales.dtype == np.float64
+        assert scales.tolist() == [0.125]
 
-    def test_harmonic_undefined_at_zero_denominator(self):
-        sched = NoiseSchedule.harmonic(1.0, 0.0)
-        with pytest.raises(DegenerateScheduleError):
-            sched.scale(0)
-        assert sched.scale(1) == 1.0
+    def test_harmonic_d_zero_substitutes_only_at_step_zero(self):
+        sched = NoiseSchedule.harmonic(2.0, 0.0)
+        assert sched.start_shifted
+        assert not NoiseSchedule.harmonic(2.0, 1.0).start_shifted
+        assert not NoiseSchedule.geometric(2.0, 0.5).start_shifted
+        assert sched.scale(np.arange(4)).tolist() == [2.0, 2.0, 1.0, 2.0 / 3.0]
+
+    @pytest.mark.parametrize("phi", [0.9, 0.999])
+    def test_geometric_scale_is_the_python_power_bit_for_bit(self, phi):
+        # np.power differs from it in the last bit at some k on AVX-512.
+        c = 3.0
+        want = np.array([c * phi**k for k in range(20000)])
+        got = NoiseSchedule.geometric(c, phi).scale(np.arange(20000))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_variance_is_scale_squared(self):
         sched = NoiseSchedule.geometric(2.0, 0.5)
-        assert sched.scale(2) ** 2 == pytest.approx(0.25)
+        assert sched.scale(np.array([2]))[0] ** 2 == pytest.approx(0.25)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -64,8 +74,8 @@ class TestNoiseSchedule:
         k=st.integers(1, 10_000),
     )
     def test_harmonic_variance_strictly_decreasing(self, c, d, k):
-        sched = NoiseSchedule.harmonic(c, d)
-        assert sched.scale(k + 1) < sched.scale(k)
+        earlier, later = NoiseSchedule.harmonic(c, d).scale(np.array([k, k + 1]))
+        assert later < earlier
 
     @given(
         c=st.floats(0.01, 1e6),
@@ -73,8 +83,7 @@ class TestNoiseSchedule:
         k=st.integers(0, 500),
     )
     def test_geometric_variance_decreasing(self, c, phi, k):
-        sched = NoiseSchedule.geometric(c, phi)
-        later, earlier = sched.scale(k + 1), sched.scale(k)
+        earlier, later = NoiseSchedule.geometric(c, phi).scale(np.array([k, k + 1]))
         assert later <= earlier
         if later > 0.0:  # strictness holds until the scale underflows to zero
             assert later < earlier
