@@ -7,7 +7,11 @@ node updates, matching the compact dynamics x(k+1) = A x(k) + (I - A) beta(k).
 
 The dynamics act alike on every Monte Carlo trial and each noise draw is a
 pure function of (seed, node, k, trial), so `simulate` advances all trials
-as one (trials, n) state, phase by phase; `run_si` is its one-trial view.
+as one (trials, n) state, phase by phase. It only stores the states and
+hands each round's messages to a callback; its views are `run_si` (one
+trial), the Monte Carlo windows in `metrics` and the DP audit's message
+traces in `analysis`. `_drift` folds the member-sum drift for the views
+that report it.
 
 The Poisson-clock variant `run_ai` draws each node's clock gaps and betas in
 one block per node and merges the ticks by (time, node id); only the
@@ -69,28 +73,34 @@ def _round(x, beta, order, out, leaver=None, secret=0.0):
     return order[:pi] + order[pi + 1 :], np.delete(d, pi, axis=1)
 
 
-def _fold_drift(max_drift: float, states: np.ndarray, target: float) -> float:
-    """Max of `max_drift` and the relative member-sum drift of `states`; NaN sticks."""
-    drift = np.abs(states.sum(axis=-1) - target).max(initial=0.0) / max(1.0, abs(target))
-    return float(np.maximum(max_drift, drift))
+def _drift(phases, states) -> float:
+    """Largest relative member-sum drift over every state a round produced,
+    `states[p]` holding phase p's (steps, ..., n) states; NaN sticks."""
+    max_drift = 0.0
+    for p, (phase, rows) in enumerate(zip(phases, states, strict=True)):
+        # Row 0 is a round's product only if a departure round made it.
+        first = 0 if p > 0 and phase.joined is None else 1
+        drift = np.abs(rows[first:].sum(axis=-1) - phase.target).max(initial=0.0)
+        max_drift = float(np.maximum(max_drift, drift / max(1.0, abs(phase.target))))
+    return max_drift
 
 
 def simulate(config: ProtocolConfig, trials: int, states: list, first_trial: int = 0,
-             source: NoiseSource | None = None, record=None) -> float:
+             source: NoiseSource | None = None, record=None) -> None:
     """Run trials first_trial .. first_trial + trials - 1 of `config` together.
 
     `states[p]` stores phase p of `config.phases()`: its row t, of shape
     (trials, n), receives the state at step start_k + t, in whatever memory
     layout the caller chose. `record(k, senders, d)`, if given, receives each
-    round's delivered messages. Returns the largest relative member-sum drift.
+    round's delivered messages, d of shape (trials, len(senders)).
     """
     phases = config.phases()
     if any(phase.leaver is not None and phase.n - 1 < 3 for phase in phases):
         raise ConfigError("a leave would shrink the ring below 3 members")
     source, record = source or NoiseSource(config.rng_seed), record or (lambda *_: None)
     trial_ids = np.arange(first_trial, first_trial + trials, dtype=np.uint64)[:, None]
-    max_drift, x = 0.0, np.asarray(phases[0].secrets, dtype=np.float64)
-    for p, (phase, out) in enumerate(zip(phases, states, strict=True)):
+    x = np.asarray(phases[0].secrets, dtype=np.float64)
+    for phase, out in zip(phases, states, strict=True):
         if phase.joined is not None:
             j = phase.order.index(phase.joined)
             x = np.insert(x, j, phase.secrets[j], axis=1)
@@ -103,16 +113,12 @@ def simulate(config: ProtocolConfig, trials: int, states: list, first_trial: int
             betas = noise_block(source, config.distribution, phase.order, phase.schedules, ks, trial_ids)
             for r in range(c0, min(c0 + chunk, last)):
                 record(phase.start_k + r, *_round(out[r], betas[r - c0], phase.order, out[r + 1]))
-        # Every state a round produced: out[0] too if a departure round made it.
-        first = 0 if p > 0 and phase.joined is None else 1
-        max_drift = _fold_drift(max_drift, out[first:], phase.target)
         x = out[last]
         if phase.leaver is not None:
             li = phase.order.index(phase.leaver)
             new = np.empty_like(x)
             record(phase.stop_k, *_round(x, betas[-1], phase.order, new, li, phase.secrets[li]))
             x = np.delete(new, li, axis=1)
-    return max_drift
 
 
 # -- single-trial runs ---------------------------------------------------------
@@ -165,12 +171,12 @@ def run_si(config: ProtocolConfig, trial: int = 0, record_trace: bool = True,
     def record(k, nodes, d):
         trace.extend((k, node, float(v)) for node, v in zip(nodes, d[0]))
 
-    drift = simulate(config, 1, [s[:, None] for s in storage], trial, source,
-                     record if record_trace else None)
+    simulate(config, 1, [s[:, None] for s in storage], trial, source,
+             record if record_trace else None)
     # Round 0 is played by the first phase with a round; those before it end
     # in a join at k = 0.
     first = next(p for p in phases if p.stop_k > 0 or p.leaver is not None)
-    return RunResult(tuple(zip(phases, map(_frozen, storage))), drift,
+    return RunResult(tuple(zip(phases, map(_frozen, storage))), _drift(phases, storage),
                      any(s.start_shifted for s in first.schedules), config.steps,
                      tuple(trace) if record_trace else None)
 
@@ -258,5 +264,5 @@ def run_ai(
         trace = tuple(zip(range(len(js)), [nodes[j] for j in js.tolist()], d.tolist()))
     shifted = any(s.start_shifted for s, node in zip(phase.schedules, nodes) if tick_counts[node])
     return RunResult(((replace(phase, stop_k=len(js)), _frozen(states)),),
-                     _fold_drift(0.0, states[1:], phase.target), shifted, len(js), trace,
+                     _drift((phase,), (states,)), shifted, len(js), trace,
                      tick_counts)

@@ -116,7 +116,7 @@ class ProtocolRun:
         self._track_drift()
 
     def _track_drift(self):
-        # Scalar arithmetic, not _fold_drift: si_step calls this on every round.
+        # Scalar arithmetic, not engine._drift: si_step calls this on every round.
         drift = abs(self.x.sum() - self.target) / max(1.0, abs(self.target))
         if not drift <= self.max_rel_drift and not math.isnan(self.max_rel_drift):
             self.max_rel_drift = drift  # a NaN drift is taken and then kept

@@ -177,13 +177,20 @@ class TestAudit:
     @pytest.mark.parametrize(
         "schedule", [NoiseSchedule.harmonic(1.0, 0.0), NoiseSchedule.geometric(3.0, 0.9)]
     )
-    def test_sampled_traces_follow_the_rolled_hand_off(self, n, schedule):
+    @pytest.mark.parametrize(
+        "audit_slice, samples", [(analysis.AUDIT_SLICE, 500), (7, 1), (7, 7), (7, 8), (7, 23)]
+    )
+    def test_sampled_traces_follow_the_rolled_hand_off(self, monkeypatch, n, schedule,
+                                                        audit_slice, samples):
         # The audit's hand-off as first written, x <- beta + roll(x - beta),
-        # replayed on the same noise: the messages must match bit for bit.
-        cfg = ProtocolConfig.uniform(np.arange(1.0, n + 1.0), schedule, Distribution.LAPLACE, 3, 5)
-        src, samples, K = NoiseSource(cfg.rng_seed), 500, 3
-        traces = _sample_traces(np.asarray(cfg.secrets), cfg.schedules, cfg.distribution, src,
-                                K, samples, 7)
+        # replayed on the same noise: the messages must match bit for bit,
+        # also across the slices the traces are sampled in (a slice of 7
+        # samples puts boundaries inside, at and just past the runs).
+        monkeypatch.setattr(analysis, "AUDIT_SLICE", audit_slice)
+        cfg = ProtocolConfig.uniform(np.arange(1.0, n + 1.0), schedule, Distribution.LAPLACE, 5, 5)
+        src, K = NoiseSource(cfg.rng_seed), 3
+        traces = _sample_traces(cfg, K, samples, 7)
+        assert traces.shape == (K, n, samples)
         trials = (np.arange(samples, dtype=np.uint64) + np.uint64(7))[:, None]
         x = np.tile(np.asarray(cfg.secrets), (samples, 1))
         for k in range(K):

@@ -129,6 +129,14 @@ class TestConfigErrorsBeforeOutput:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("delta", ["-1", "nan"])
+    def test_invalid_budget_delta_fails_before_any_output(self, tmp_path, monkeypatch, capsys, delta):
+        monkeypatch.setenv("RINGSUM_OUT", str(tmp_path / "out"))
+        path = _write_scenario(tmp_path, BASIC)  # Laplace, so the summary has a budget line
+        assert main(["simulate", "--config", str(path), "--delta", delta]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_valid_poisson_settings_load(self, tmp_path):
         _, protocol, _, extras = load_scenario(_write_scenario(tmp_path, _ai("horizon = 5", "rate = 2.5")))
         assert protocol == "ai"
@@ -315,6 +323,13 @@ class TestThinSubcommands:
         args = {"--c": "1", "--d": "1", "--K": "2", "--delta": "1", "--samples": "1000", flag: value}
         assert main(["audit", "--family", "harmonic", *(x for kv in args.items() for x in kv)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_audit_gate_has_no_tolerance_option(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["audit", "--family", "harmonic", "--c", "1", "--K", "1", "--delta", "1",
+                  "--tolerance", "100"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --tolerance 100" in capsys.readouterr().err
 
     def test_tradeoff_matches_solver(self, capsys):
         from ringsum import TradeoffProblem, solve_harmonic

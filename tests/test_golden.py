@@ -1,4 +1,4 @@
-"""Golden artifact digests for four tiny scenarios.
+"""Golden artifact digests for four tiny scenarios, and of one audit's output.
 
 The Monte Carlo aggregates in errors.csv depend on the memory layout the
 trial reductions run over, not only on the simulated values: a C-ordered
@@ -17,6 +17,9 @@ scales do not: they never go through numpy's power. The pins are kept per
 SIMD bit profile, which a fixed canary evaluation of log, log1p, exp and
 power identifies; both sets were recorded with numpy 2.4.6, the second under
 NPY_DISABLE_CPU_FEATURES=X86_V4. A profile with no recorded set fails.
+
+The audit pin covers the sampled message traces: its samples span two
+slices of `analysis.AUDIT_SLICE` trials, the second one ragged.
 """
 import hashlib
 import textwrap
@@ -24,6 +27,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from ringsum import analysis
 from ringsum.cli import main
 
 CHURN = """\
@@ -188,3 +192,20 @@ def test_artifact_digests_are_pinned(tmp_path, monkeypatch, name, body):
         for artifact in golden
     }
     assert digests == golden
+
+
+AUDIT = ["audit", "--family", "harmonic", "--c", "1", "--d", "1", "--n", "3", "--K", "2",
+         "--delta", "1", "--samples", "300000"]
+
+# The printed figures come out the same on both profiles.
+AUDIT_STDOUT = {
+    "x86_v4": "c4180c9375f9632b1d7216025e5560aef00e024977842a13223f76bd59a47e51",
+    "baseline": "c4180c9375f9632b1d7216025e5560aef00e024977842a13223f76bd59a47e51",
+}
+
+
+def test_audit_stdout_is_pinned(capsys):
+    assert analysis.AUDIT_SLICE < 300_000 < 2 * analysis.AUDIT_SLICE
+    assert main(AUDIT) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == AUDIT_STDOUT[simd_profile()]

@@ -147,7 +147,7 @@ def coordinates(draw):
         scale = np.abs(np.random.default_rng(k % 2**32).standard_normal((steps, 1, n)))
         scale[0, 0] = special  # one step of special scales, the rest plain ones
         return nodes, ks, np.arange(trials, dtype=np.uint64)[:, None], scale
-    # analysis._sample_traces: one step, many trials, (1, trials, members)
+    # the DP audit: one step, many trials, (1, trials, members)
     trials = np.arange(trial % 2**32, trial % 2**32 + draw(st.integers(1, 6000)),
                        dtype=np.uint64)[:, None]
     scale = np.array(draw(st.lists(scales, min_size=n, max_size=n)))[None, None, :]

@@ -16,7 +16,7 @@ from ringsum import (
     run_si,
     window_sums,
 )
-from ringsum.engine import _fold_drift, simulate
+from ringsum.engine import _drift, simulate
 from ringsum.metrics import trial_windows
 from stepping_engine import ProtocolRun, join, leave, si_step
 
@@ -89,7 +89,8 @@ def bits(values) -> np.ndarray:
 @given(config=churn_configs(), trials=st.integers(1, 4))
 def test_batched_rows_equal_single_trial_runs(config, trials):
     storage = [np.empty((p.stop_k - p.start_k + 1, trials, p.n)) for p in config.phases()]
-    assert simulate(config, trials, storage) <= 1e-10
+    simulate(config, trials, storage)
+    assert _drift(config.phases(), storage) <= 1e-10
     windows = trial_windows(config, trials)
     for t in range(trials):
         run = run_si(config, trial=t)
@@ -132,7 +133,8 @@ def test_events_at_one_time_and_a_leave_in_the_last_round():
     )
     phases = config.phases()
     storage = [np.empty((p.stop_k - p.start_k + 1, 6, p.n)) for p in phases]
-    assert simulate(config, 6, storage) <= 1e-10
+    simulate(config, 6, storage)
+    assert _drift(phases, storage) <= 1e-10
     for t in (0, 5):
         run, ref = run_si(config, trial=t), _replay(config, t)
         assert list(run.trace) == ref.trace
@@ -140,20 +142,45 @@ def test_events_at_one_time_and_a_leave_in_the_last_round():
             assert np.array_equal(single, states[:, t])
 
 
+# Four members, the fourth leaving in round 2: phase 1 stores steps 0..2,
+# phase 2 (three members) steps 3..4.
+_LEFT = ProtocolConfig.uniform([1.0, 2.0, 3.0, 4.0], NoiseSchedule.harmonic(1.0, 1.0),
+                               Distribution.GAUSSIAN, 4, 0, events=(Leave(2, 4),))
+
+
+def _phase_states(phase, nan_row=None):
+    """States of `phase` whose member sum is its target, row `nan_row` NaN."""
+    states = np.zeros((phase.stop_k - phase.start_k + 1, phase.n))
+    states[:, 0] = phase.target
+    if nan_row is not None:
+        states[nan_row, 0] = math.nan
+    return states
+
+
 class TestNonFinite:
     def test_overflowing_noise_drift_is_nan_not_zero(self):
         cfg = ProtocolConfig.uniform(
             [1.0, 2.0, 3.0], NoiseSchedule.harmonic(1e308, 1.0), Distribution.GAUSSIAN, 5, 0
         )
+        states = np.empty((cfg.steps + 1, 3, 3))
         with np.errstate(all="ignore"):
-            dense_drift = simulate(cfg, 3, [np.empty((cfg.steps + 1, 3, 3))])
+            simulate(cfg, 3, [states])
+            dense_drift = _drift(cfg.phases(), [states])
             single_drift = run_si(cfg).max_rel_drift
         assert math.isnan(dense_drift)
         assert math.isnan(single_drift)
 
     def test_nan_drift_is_kept_once_seen(self):
-        assert math.isnan(_fold_drift(math.nan, np.zeros((2, 3)), 0.0))
-        assert math.isnan(_fold_drift(0.0, np.array([[math.nan, 1.0, 2.0]]), 3.0))
+        # A NaN state in the first phase survives the clean phase after it.
+        phases = _LEFT.phases()
+        assert math.isnan(_drift(phases, [_phase_states(phases[0], 1), _phase_states(phases[1])]))
+
+    def test_drift_counts_row_0_only_where_a_departure_round_made_it(self):
+        phases = _LEFT.phases()
+        # Row 0 of the first phase holds the secrets, not a round's product ...
+        assert _drift(phases, [_phase_states(phases[0], 0), _phase_states(phases[1])]) == 0.0
+        # ... but row 0 after a leave is the departure round's result.
+        assert math.isnan(_drift(phases, [_phase_states(phases[0]), _phase_states(phases[1], 0)]))
 
     def test_round_by_round_drift_propagates_nan(self):
         # The replay oracle's drift must stay NaN too, or the replay test could

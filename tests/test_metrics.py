@@ -16,7 +16,7 @@ from ringsum import (
     trial_mean_estimates,
     window_sums,
 )
-from ringsum.engine import simulate
+from ringsum.engine import _drift, simulate
 from ringsum.metrics import trial_windows
 
 ZERO = NoiseSchedule.harmonic(0.0, 1.0)
@@ -78,7 +78,8 @@ class TestDensePath:
     def test_dense_states_match_scalar_engine_bit_for_bit(self, dist, schedule):
         cfg = _config([1.0, 2.0, 3.0, 4.0], schedule, steps=25, seed=9, dist=dist)
         states = np.empty((cfg.steps + 1, 3, 4))
-        assert simulate(cfg, 3, [states]) <= 1e-12
+        simulate(cfg, 3, [states])
+        assert _drift(cfg.phases(), [states]) <= 1e-12
         for t in range(3):
             run = run_si(cfg, trial=t, record_trace=False)
             assert np.array_equal(run.phases[0][1], states[:, t, :])
