@@ -33,6 +33,7 @@ from .analysis import (
     InsufficientSamplesError,
     Lemma1Report,
     MixedFamilyError,
+    NonFiniteTraceError,
     PrivacyBudget,
     ScheduleAggregates,
     UnsupportedDistributionError,

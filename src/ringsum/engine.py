@@ -48,11 +48,14 @@ from .noise import NoiseSource
 NOISE_CHUNK = 1 << 18
 
 
-def noise_block(source, dist, order, schedules, ks, trials) -> np.ndarray:
+def noise_block(source, dist, order, schedules, ks, trials, node_major=False) -> np.ndarray:
     """beta for every step in `ks`, trial and member: shape (len(ks), trials, n)."""
     ks = np.asarray(ks, dtype=np.uint64)
     scales = np.stack([s.scale(ks) for s in schedules], axis=1)[:, None, :]
-    return source.sample(np.array(order, dtype=np.uint64), ks[:, None, None], trials, scales, dist)
+    nodes, trials = np.array(order, dtype=np.uint64)[None, None], np.reshape(trials, (1, -1, 1))
+    axes = (0, 2, 1) if node_major else (0, 1, 2)  # drawn as (len(ks), n, trials) if node-major
+    coords = (x.transpose(axes) for x in (nodes, ks[:, None, None], trials, scales))
+    return source.sample(*coords, dist).transpose(axes)
 
 
 def _round(x, beta, order, out, leaver=None, secret=0.0):
@@ -110,7 +113,11 @@ def simulate(config: ProtocolConfig, trials: int, states: list, first_trial: int
         chunk = max(1, NOISE_CHUNK // (trials * phase.n))
         for c0 in range(0, rounds, chunk):
             ks = np.arange(phase.start_k + c0, phase.start_k + min(c0 + chunk, rounds))
-            betas = noise_block(source, config.distribution, phase.order, phase.schedules, ks, trial_ids)
+            # Drawn in the memory order of the caller's rows, so that the
+            # hand-off's operands line up; one trial keeps the trial-major
+            # draw, whatever the strides of its (1, n) rows.
+            betas = noise_block(source, config.distribution, phase.order, phase.schedules, ks,
+                                trial_ids, trials > 1 and out[0].strides[0] < out[0].strides[1])
             for r in range(c0, min(c0 + chunk, last)):
                 record(phase.start_k + r, *_round(out[r], betas[r - c0], phase.order, out[r + 1]))
         x = out[last]

@@ -71,6 +71,31 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+def run_tasks(task, items: list, scratch) -> list:
+    """[task(item, buf) for item in items], on the pool if there are several."""
+    if len(items) == 1:
+        return [task(items[0], scratch())]
+    # `buf` is the running thread's own `scratch()`, made on its first task.
+    pool, held = _pool(), threading.local()
+
+    def run(item):
+        if not hasattr(held, "buf"):
+            held.buf = scratch()
+        return task(item, held.buf)
+
+    # Each task runs in a copy of the caller's context, so the caller's numpy
+    # error state holds in the workers too.
+    futures = [pool.submit(contextvars.copy_context().run, run, item) for item in items]
+    for future in futures:  # every task finishes before the first error is raised
+        future.exception()
+    return [future.result() for future in futures]
+
+
+def workers() -> int:
+    """The number of threads `run_tasks` runs tasks on."""
+    return _pool()._max_workers
+
+
 def _fmix64(z: np.ndarray, tmp: np.ndarray) -> None:
     """The splitmix64 finalizer, in place on `z`, with `tmp` as scratch."""
     for shift, mult in ((30, _MIX1), (27, _MIX2)):
@@ -180,26 +205,13 @@ def _draw(seed: int, node, k, trial, slots, kind, param=None):
                 np.bitwise_xor(prefix, _key(part), out=prefix)
                 _fmix64(prefix, tmp)
             slot_keys = [_key(slot) for slot in slots]
-        blocks = list(_blocks(out.shape, NOISE_BLOCK))
         size = min(out.size, NOISE_BLOCK)
-        scratch = threading.local()  # per call: freed on return
-
-        def run(idx):
-            if not hasattr(scratch, "buf"):
-                scratch.buf = (np.empty(size, np.uint64), np.empty(size, np.uint64), np.empty(size))
-            _fill(out, idx, scratch.buf, prefix, trial, slot_keys, kind, param)
-
-        if len(blocks) == 1:
-            run(blocks[0])
-        else:
-            # Each block runs in a copy of the caller's context, so the
-            # caller's numpy error state holds in the workers too.
-            pool = _pool()
-            futures = [pool.submit(contextvars.copy_context().run, run, idx) for idx in blocks]
-            # Every block finishes before an error is raised: none runs on.
-            errors = [e for e in (future.exception() for future in futures) if e is not None]
-            if errors:
-                raise errors[0]
+        # Each worker makes its buffers: its arena keeps them when they are
+        # freed, for its next call. Buffers the calling thread made would go
+        # back to the system and fault in again on every call.
+        run_tasks(lambda idx, buf: _fill(out, idx, buf, prefix, trial, slot_keys, kind, param),
+                  list(_blocks(out.shape, NOISE_BLOCK)),
+                  lambda: (np.empty(size, np.uint64), np.empty(size, np.uint64), np.empty(size)))
     return float(out[0]) if not shape else out
 
 

@@ -1,15 +1,22 @@
 """Closed-form bounds, privacy accounting, audit, and structural oracles."""
+import dataclasses
 import math
+import time
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringsum import (
     ConfigError,
     Distribution,
     MixedFamilyError,
     NoiseSchedule,
+    NonFiniteTraceError,
     ProtocolConfig,
+    RingSumError,
     ScheduleAggregates,
     UnsupportedDistributionError,
     circulant_oracle,
@@ -20,7 +27,7 @@ from ringsum import (
     utility_bound,
     variance_bound,
 )
-from ringsum import analysis
+from ringsum import analysis, noise
 from ringsum.analysis import _sample_traces
 from ringsum.engine import noise_block
 from ringsum.noise import NoiseSource
@@ -212,6 +219,52 @@ class TestAudit:
         with pytest.raises(ConfigError):
             dp_audit(cfg, delta, K, samples)
 
+    @pytest.mark.parametrize("c, d", [(1e308, 1.0), (1e300, 1e-300)])
+    def test_non_finite_traces_raise_a_ringsum_error(self, c, d):
+        # Noise that overflows to inf makes inf - inf = NaN messages; no
+        # histogram can be binned over them.
+        cfg = self._config(NoiseSchedule.harmonic(c, d))
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteTraceError, match="finite range"):
+            dp_audit(cfg, 1.0, 2, 20_000)
+        assert issubclass(NonFiniteTraceError, RingSumError)
+
+    def test_worker_count_does_not_change_the_audit(self):
+        # Twelve coordinates, reduced in the calling thread's order on one
+        # worker and out of order on four.
+        cfg = ProtocolConfig.uniform([1.0, 2.0, 3.0, 4.0], NoiseSchedule.harmonic(1.0, 1.0),
+                                     Distribution.LAPLACE, 3, 4)
+        results = []
+        for workers in (1, 4):
+            with ThreadPoolExecutor(workers) as pool, mock.patch.object(noise, "_POOL", pool):
+                results.append(dp_audit(cfg, 1.0, 3, 60_000))
+        assert results[0].bins_used > 0
+        assert repr(dataclasses.astuple(results[0])) == repr(dataclasses.astuple(results[1]))
+
+    def test_a_failing_coordinate_raises_after_the_others_finish(self, monkeypatch):
+        cfg = ProtocolConfig.uniform([1.0, 2.0, 3.0, 4.0], NoiseSchedule.harmonic(1.0, 1.0),
+                                     Distribution.LAPLACE, 3, 4)
+        clean = _sample_traces(cfg, 3, 5_000, 0)
+        poisoned = clean.copy()
+        poisoned[0, 0, 17] = math.nan
+        monkeypatch.setattr(analysis, "_sample_traces",
+                            lambda config, K, samples, first: clean if first else poisoned)
+        finished, ratio = [], analysis._coordinate_log_ratio
+
+        def slow_ratio(a, b, min_bin_count, buf):
+            if not np.isnan(a).any():
+                time.sleep(0.05)  # the failing coordinate is the first to end
+            finished.append(ratio(a, b, min_bin_count, buf))
+            return finished[-1]
+
+        monkeypatch.setattr(analysis, "_coordinate_log_ratio", slow_ratio)
+        with ThreadPoolExecutor(4) as pool, mock.patch.object(noise, "_POOL", pool):
+            with pytest.raises(NonFiniteTraceError):
+                try:
+                    dp_audit(cfg, 1.0, 3, 5_000)
+                finally:  # before the pool's shutdown waits for any task left
+                    finished_when_raised = len(finished)
+        assert finished_when_raised == 3 * 4 - 1
+
     def test_large_instances_refused(self):
         cfg = ProtocolConfig.uniform(
             [1.0] * 5, NoiseSchedule.harmonic(1.0, 1.0), Distribution.LAPLACE, 3, 0
@@ -225,6 +278,74 @@ class TestAudit:
         )
         with pytest.raises(UnsupportedDistributionError):
             dp_audit(cfg, 1.0, 1, 1000)
+
+
+def oracle_coordinate_log_ratio(a: np.ndarray, b: np.ndarray, min_bin_count: int):
+    """Max |log density ratio| between two samples, histogram-estimated."""
+    both = np.concatenate([a, b])
+    q75, q25 = np.percentile(both, [75, 25])
+    iqr = q75 - q25
+    lo, hi = float(both.min()), float(both.max())
+    if iqr <= 0 or hi <= lo:
+        return 0.0, 0.0, 0, 1
+    width = 2.0 * iqr * both.size ** (-1.0 / 3.0)  # Freedman-Diaconis
+    nbins = int(np.clip(math.ceil((hi - lo) / width), 1, 2000))
+    edges = np.linspace(lo, hi, nbins + 1)
+    ca, _ = np.histogram(a, bins=edges)
+    cb, _ = np.histogram(b, bins=edges)
+    mask = (ca >= min_bin_count) & (cb >= min_bin_count)
+    used = int(mask.sum())
+    if used == 0:
+        return 0.0, 0.0, 0, nbins
+    log_ratio = np.log(ca[mask] / len(a)) - np.log(cb[mask] / len(b))
+    i = int(np.argmax(np.abs(log_ratio)))
+    stderr = math.sqrt(1.0 / ca[mask][i] + 1.0 / cb[mask][i])
+    return float(np.abs(log_ratio[i])), stderr, used, nbins - used
+
+
+@st.composite
+def sample_pairs(draw):
+    """Two samples of 2 to 5000 values in all: Laplace, a few tied values, or constant."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.integers(1, 2500)), draw(st.integers(1, 2500))
+    scale = 10.0 ** draw(st.floats(-5.0, 5.0))
+    kind = draw(st.sampled_from(["laplace", "ties", "constant"]))
+    if kind == "laplace":
+        shift = draw(st.floats(0.0, 3.0))
+        a, b = rng.laplace(size=sizes[0]), rng.laplace(size=sizes[1]) + shift
+    elif kind == "ties":
+        levels = draw(st.integers(1, 6))
+        a, b = (rng.integers(-levels, levels + 1, size).astype(float) for size in sizes)
+    else:
+        a, b = np.full(sizes[0], 0.3), np.full(sizes[1], 0.3)
+    return a * scale, b * scale
+
+
+class TestCoordinateReduction:
+    """The sorted reduction against the partitioning one it replaced (the
+    oracle above, kept verbatim but for its name)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=sample_pairs(), min_bin_count=st.integers(1, 60), spare=st.integers(0, 9))
+    def test_sorted_reduction_equals_the_partitioning_one(self, pair, min_bin_count, spare):
+        a, b = pair
+        kept = a.copy(), b.copy()
+        buf = np.full(a.size + b.size + spare, math.nan)
+        got = analysis._coordinate_log_ratio(a, b, min_bin_count, buf)
+        assert repr(got) == repr(oracle_coordinate_log_ratio(a, b, min_bin_count))
+        assert np.array_equal(a, kept[0]) and np.array_equal(b, kept[1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_raise(self, bad):
+        a, b = np.linspace(-1.0, 1.0, 50), np.linspace(-1.0, 1.0, 50)
+        b[7] = bad
+        with pytest.raises(NonFiniteTraceError):
+            analysis._coordinate_log_ratio(a, b, 1, np.empty(100))
+
+    def test_a_range_past_the_largest_double_raises(self):
+        a, b = np.array([-1e308, 0.0, 1.0]), np.array([1e308, 2.0])
+        with pytest.raises(NonFiniteTraceError):
+            analysis._coordinate_log_ratio(a, b, 1, np.empty(5))
 
 
 class TestOracles:

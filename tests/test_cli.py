@@ -2,6 +2,7 @@
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -323,6 +324,14 @@ class TestThinSubcommands:
         args = {"--c": "1", "--d": "1", "--K": "2", "--delta": "1", "--samples": "1000", flag: value}
         assert main(["audit", "--family", "harmonic", *(x for kv in args.items() for x in kv)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("c, d", [("1e308", "1"), ("1e300", "1e-300")])
+    def test_audit_of_non_finite_traces_is_an_error(self, capsys, c, d):
+        with np.errstate(all="ignore"):
+            code = main(["audit", "--family", "harmonic", "--c", c, "--d", d, "--n", "3",
+                         "--K", "2", "--delta", "1", "--samples", "20000"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: audit traces span")
 
     def test_audit_gate_has_no_tolerance_option(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

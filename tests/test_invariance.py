@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ringsum import Distribution, Join, Leave, NoiseSchedule, NoiseSource, ProtocolConfig, noise
-from ringsum import metrics
+from ringsum import engine, metrics
 from ringsum.metrics import ErrorAggregate, PhaseWindows, aggregate_trials, trial_windows
 
 
@@ -244,6 +244,50 @@ def test_block_cuts_cover_the_output_once():
                 assert block.size <= size and block.flags.c_contiguous
                 block += 1
             assert np.all(hits == 1)
+
+
+# -- node-major states equal trial-major ones ----------------------------------
+
+
+def _record_into(messages):
+    def record(k, senders, d):
+        messages.append((k, senders, d.copy()))
+    return record
+
+
+NODE_MAJOR = {  # row t of each is a (trials, n) view whose trial stride is the smaller
+    "columns": lambda steps, trials, n: np.empty((steps, n, trials)).swapaxes(1, 2),
+    "fortran": lambda steps, trials, n: np.empty((n, trials, steps)).T,
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("layout", sorted(NODE_MAJOR))
+@pytest.mark.parametrize("dist", list(Distribution))
+def test_node_major_states_equal_trial_major_ones(pools, dist, layout, workers):
+    # A leave (whose departure round drops a column of node-major messages)
+    # and a join, on 2 to 9 trials; blocks of 64 values, so that the pool
+    # draws every call.
+    config = ProtocolConfig.uniform(SECRETS, NoiseSchedule.harmonic(3.0, 1.0), dist, 30, 8,
+                                    (Leave(9, node=2), Join(17, node=6, anchor=4, secret=-7.5)))
+    phases, block = config.phases(), engine.noise_block
+    for trials in range(2, 10):
+        lengths = [p.stop_k - p.start_k + 1 for p in phases]
+        trial_major = [np.empty((m, trials, p.n)) for m, p in zip(lengths, phases)]
+        node_major = [NODE_MAJOR[layout](m, trials, p.n) for m, p in zip(lengths, phases)]
+        want, got, orders = [], [], []
+        with mock.patch.object(noise, "NOISE_BLOCK", 1 << 6), \
+                mock.patch.object(noise, "_POOL", pools[workers]), \
+                mock.patch.object(engine, "noise_block",
+                                  lambda *args: orders.append(args[-1]) or block(*args)):
+            engine.simulate(config, trials, trial_major, 3, record=_record_into(want))
+            engine.simulate(config, trials, node_major, 3, record=_record_into(got))
+        assert orders == [False] * len(phases) + [True] * len(phases)
+        for a, b in zip(node_major, trial_major, strict=True):
+            assert np.array_equal(bits(a), bits(b))
+        assert [(k, s) for k, s, _ in got] == [(k, s) for k, s, _ in want]
+        for (_, _, a), (_, _, b) in zip(got, want):
+            assert np.array_equal(bits(a), bits(b))
 
 
 # -- the sliced statistics equal the whole-tensor ones ------------------------
