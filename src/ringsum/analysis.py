@@ -21,9 +21,9 @@ from .model import (
     ConfigError,
     Distribution,
     Family,
-    NoiseSchedule,
     ProtocolConfig,
     RingSumError,
+    check_ring,
 )
 from .engine import simulate
 from .noise import run_tasks, workers
@@ -57,6 +57,7 @@ class ScheduleAggregates:
     phi_M: float | None = None
     phi_m: float | None = None
     pairs: tuple[tuple[float, float], ...] = ()  # (c_i, phi_i), geometric only
+    start_shifted: bool = False  # some member draws its k = 0 noise at d = 1
 
     @classmethod
     def from_schedules(cls, schedules) -> "ScheduleAggregates":
@@ -69,7 +70,8 @@ class ScheduleAggregates:
         family = schedules[0].family
         cs = [s.c for s in schedules]
         if family is Family.HARMONIC:
-            return cls(family, max(cs), min(cs), d_M=max(s.d for s in schedules))
+            return cls(family, max(cs), min(cs), d_M=max(s.d for s in schedules),
+                       start_shifted=any(s.start_shifted for s in schedules))
         phis = [s.phi for s in schedules]
         return cls(
             family,
@@ -83,8 +85,7 @@ class ScheduleAggregates:
 
 def utility_bound(agg: ScheduleAggregates, n: int) -> float:
     """Asymptotic bound on E sum_i |y_i(k) - sum_j s_j|."""
-    if n <= 2:
-        raise ConfigError(f"bounds assume more than 2 nodes, got {n}")
+    check_ring(n)
     if agg.family is Family.HARMONIC:
         return agg.c_M * math.pi * n * math.sqrt(n / 6.0)
     return max(c * n * math.sqrt(n / (1.0 - phi**2)) for c, phi in agg.pairs)
@@ -92,8 +93,7 @@ def utility_bound(agg: ScheduleAggregates, n: int) -> float:
 
 def variance_bound(agg: ScheduleAggregates, n: int) -> float:
     """Asymptotic bound on sum_i var(y_i(k))."""
-    if n <= 2:
-        raise ConfigError(f"bounds assume more than 2 nodes, got {n}")
+    check_ring(n)
     if agg.family is Family.HARMONIC:
         return agg.c_M**2 * math.pi**2 * n**2 / 3.0
     return max(2.0 * n**2 * c**2 / (1.0 - phi**2) for c, phi in agg.pairs)
@@ -114,9 +114,9 @@ class PrivacyBudget:
     """Per-step budgets eps_0..eps_{K-1} and their composed total.
 
     `total` is the closed-form composition; `log_per_step` carries the exact
-    per-step sequence even where individual terms overflow. For harmonic
-    schedules with d_M = 0 the engine's k = 0 scale substitution adds one
-    delta / c_m term, reported separately as `total_start_shifted`.
+    per-step sequence even where individual terms overflow. A member with
+    harmonic d = 0 draws at d = 1 at k = 0, so `total_start_shifted` takes
+    delta * max(d_M, 1) / c_m for the k = 0 term, a bound for every member.
     """
 
     family: Family
@@ -162,20 +162,17 @@ def epsilon_total(
         # Nothing to hide, or no noise to hide it: every step costs 0, or inf.
         total = 0.0 if delta == 0 else math.inf
         log_total = math.log(total) if total else -math.inf
-        shifted = total if agg.family is Family.HARMONIC and agg.d_M == 0 else None
+        shifted = total if agg.start_shifted else None
         return PrivacyBudget(agg.family, delta, K, np.full(K, log_total), total, log_total, shifted)
 
     ks = np.arange(K, dtype=np.float64)
     log_base = math.log(delta / agg.c_m)
-    shifted = None
     with np.errstate(divide="ignore"):
         if agg.family is Family.HARMONIC:
             log_per_step = log_base + np.log(ks + agg.d_M)
             total = delta / agg.c_m * K * ((K - 1) / 2.0 + agg.d_M)
             arg = K * ((K - 1) / 2.0 + agg.d_M)
             log_total = log_base + (math.log(arg) if arg > 0 else -math.inf)
-            if agg.d_M == 0:
-                shifted = total + delta / agg.c_m
         else:
             phi = agg.phi_m
             log_per_step = log_base - ks * math.log(phi)
@@ -187,6 +184,7 @@ def epsilon_total(
             )
             with np.errstate(over="ignore"):
                 total = float(np.exp(log_total))
+    shifted = total + delta * (max(agg.d_M, 1.0) - agg.d_M) / agg.c_m if agg.start_shifted else None
     return PrivacyBudget(agg.family, delta, K, log_per_step, total, log_total, shifted)
 
 

@@ -26,6 +26,8 @@ Membership semantics:
   * A join at step k rewires instantly before the round at k: the newcomer
     is inserted after its anchor node with state equal to its secret.
 Both transitions conserve the member sum exactly (up to roundoff).
+`ProtocolConfig` checks the ring size when it is built; the Poisson clock's
+own rules are `check_poisson`'s, called by `run_ai` and the scenario loader.
 
 Harmonic schedules with d = 0 have no finite scale at k = 0;
 `NoiseSchedule.scale` substitutes d = 1 for the k = 0 draw only, and runs
@@ -98,8 +100,6 @@ def simulate(config: ProtocolConfig, trials: int, states: list, first_trial: int
     round's delivered messages, d of shape (trials, len(senders)).
     """
     phases = config.phases()
-    if any(phase.leaver is not None and phase.n - 1 < 3 for phase in phases):
-        raise ConfigError("a leave would shrink the ring below 3 members")
     source, record = source or NoiseSource(config.rng_seed), record or (lambda *_: None)
     trial_ids = np.arange(first_trial, first_trial + trials, dtype=np.uint64)[:, None]
     x = np.asarray(phases[0].secrets, dtype=np.float64)
@@ -216,6 +216,15 @@ def _poisson_ticks(source: NoiseSource, nodes, trial: int, rate: float, horizon:
     return times[order], ids[order]
 
 
+def check_poisson(config: ProtocolConfig, rate: float, horizon: float) -> None:
+    """ConfigError for membership events, or a rate or horizon not finite and > 0."""
+    if config.events:
+        raise ConfigError("membership events are not supported by the asynchronous engine")
+    for name, value in (("horizon", horizon), ("Poisson rate", rate)):
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{name} must be finite and > 0, got {value}")
+
+
 def run_ai(
     config: ProtocolConfig,
     rate: float,
@@ -235,14 +244,10 @@ def run_ai(
     merge by time, a tie going to the lower node id; only the hand-off runs
     tick by tick. The result's one phase runs from step 0 to the tick count.
 
-    Membership events are not supported here; the rewiring rules above are
-    defined for the synchronous rounds only.
+    `check_poisson` rejects membership events, whose rewiring rules are
+    defined for the synchronous rounds only, and a bad rate or horizon.
     """
-    if config.events:
-        raise ConfigError("membership events are not supported by the asynchronous engine")
-    for name, value in (("horizon", horizon), ("Poisson rate", rate)):
-        if not 0 < value < math.inf:
-            raise ConfigError(f"{name} must be finite and > 0, got {value}")
+    check_poisson(config, rate, horizon)
     (phase,) = config.phases()
     nodes, n, source = phase.order, phase.n, NoiseSource(config.rng_seed)
     if tick_order is None:

@@ -75,8 +75,11 @@ def estimator(run: RunResult, node: int, k: int) -> float:
                 raise WindowNotFullError(
                     f"node {node} has only {offset + 1} states at k={k}, needs {phase.n}"
                 )
-            j = phase.order.index(node)
-            return float(states[offset - phase.n + 1 : offset + 1, j].sum())
+            # Cumulative sums run row by row, so the last window over the
+            # states up to k has the same bits as in `window_sums`.
+            upto_k = states[: offset + 1].copy()
+            (part,) = _windows([(phase.start_k, phase.order, phase.target, upto_k)])
+            return float(part.y[-1, phase.order.index(node)])
     raise WindowNotFullError(f"no recorded window for node {node} ending at k={k}")
 
 

@@ -23,6 +23,12 @@ class ConfigError(RingSumError, ValueError):
     """Invalid protocol configuration."""
 
 
+def check_ring(n: int, when: str = "") -> None:
+    """The hand-off needs a ring of at least 3 members."""
+    if n < 3:
+        raise ConfigError(f"a ring needs at least 3 members, got {n}{when}")
+
+
 class Family(enum.Enum):
     HARMONIC = "harmonic"
     GEOMETRIC = "geometric"
@@ -151,8 +157,6 @@ class ProtocolConfig:
 
     def __post_init__(self):
         n = len(self.secrets)
-        if n <= 2:
-            raise ConfigError(f"need more than 2 secrets, got {n}")
         if len(self.schedules) != n:
             raise ConfigError(
                 f"{len(self.schedules)} schedules for {n} secrets; one per node required"
@@ -161,7 +165,7 @@ class ProtocolConfig:
         if not all(map(math.isfinite, (*self.secrets, *joining))):
             raise ConfigError(f"secrets must be finite, got {(*self.secrets, *joining)}")
         families = {s.family for s in self.schedules}
-        if len(families) != 1:
+        if len(families) > 1:
             raise ConfigError("schedules must share a single family across nodes")
         if self.steps < 1:
             raise ConfigError(f"step count must be >= 1, got {self.steps}")
@@ -176,13 +180,14 @@ class ProtocolConfig:
     def phases(self) -> tuple[Phase, ...]:
         """The constant-membership phases; at one time joins apply first, then
         the leave, whose departure round replaces that round. Raises ConfigError
-        for an event the member set cannot take (ring size is left to the
-        synchronous engine: the asynchronous one rejects every event)."""
+        for an event the member set cannot take and for a phase of fewer than
+        3 members, the initial ring included."""
         order = list(range(1, len(self.secrets) + 1))
         secrets, schedules = dict(zip(order, self.secrets)), dict(zip(order, self.schedules))
         phases, start, joined, left_at = [], 0, None, None
 
         def close(stop_k: int, leaver: int | None = None) -> None:
+            check_ring(len(order), f" from step {start}")
             phases.append(Phase(start, stop_k, tuple(order), tuple(secrets[i] for i in order),
                                 tuple(schedules[i] for i in order), leaver, joined))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, Family, RingSumError
+from .model import ConfigError, RingSumError, check_ring
 
 
 class DegenerateTradeoffError(RingSumError, ValueError):
@@ -29,15 +29,14 @@ class TradeoffProblem:
     n: int
     delta: float
     K: int
-    family: Family
 
     def __post_init__(self):
-        if min(self.gamma_u, self.gamma_a, self.gamma_p) <= 0:
-            raise ConfigError("importance balancers must be strictly positive")
-        if self.n <= 2:
-            raise ConfigError(f"need more than 2 nodes, got {self.n}")
-        if self.delta <= 0:
-            raise ConfigError(f"adjacency radius must be positive, got {self.delta}")
+        balancers = (self.gamma_u, self.gamma_a, self.gamma_p)
+        if not all(0 < g < math.inf for g in balancers):
+            raise ConfigError(f"importance balancers must be finite and > 0, got {balancers}")
+        check_ring(self.n)
+        if not 0 < self.delta < math.inf:
+            raise ConfigError(f"adjacency radius must be finite and > 0, got {self.delta}")
         if self.K < 1:
             raise ConfigError(f"step count must be >= 1, got {self.K}")
 
@@ -86,8 +85,6 @@ def objective_harmonic(p: TradeoffProblem, c: float, d: float) -> float:
 
 def solve_harmonic(p: TradeoffProblem) -> TradeoffSolution:
     """Unique positive root of the cubic, with stationarity verified."""
-    if p.family is not Family.HARMONIC:
-        raise ConfigError("solve_harmonic requires a harmonic-family problem")
     if p.K < 2:
         raise DegenerateTradeoffError(
             "K < 2 zeroes the privacy term: g has no positive root and the "
@@ -155,8 +152,6 @@ _PHI_EPS = 1e-9
 
 def explore_geometric(p: TradeoffProblem, c_values, phi_values) -> GeometricSurface:
     """Evaluate the objective on a (c, phi) grid; no optimality is claimed."""
-    if p.family is not Family.GEOMETRIC:
-        raise ConfigError("explore_geometric requires a geometric-family problem")
     c_values = np.asarray(c_values, dtype=np.float64)
     phi_values = np.asarray(phi_values, dtype=np.float64)
     if np.any(c_values <= 0):

@@ -25,7 +25,6 @@ import pytest
 
 from ringsum import (
     Distribution,
-    Family,
     Join,
     Leave,
     NoiseSchedule,
@@ -258,14 +257,13 @@ def test_acceptance_7_tradeoff_solver():
             n=int(rng.integers(3, 9)),
             delta=rng.uniform(0.5, 1.5),
             K=int(rng.integers(2, 31)),
-            family=Family.HARMONIC,
         )
         sol = solve_harmonic(p)
         ref = _bisection_oracle(p)
         ok &= sol.residual <= 1e-10
         ok &= sol.kkt_residual <= 1e-8
         ok &= abs(sol.c_star - ref) <= 1e-8 * max(1.0, ref)
-    reference = TradeoffProblem(1.0, 1.0, 1.0, 3, 1.0, 2, Family.HARMONIC)
+    reference = TradeoffProblem(1.0, 1.0, 1.0, 3, 1.0, 2)
     unit = solve_harmonic(reference)
     ok &= abs(unit.c_star - 0.224) <= 5e-4
     ok &= abs(unit.c_star - _bisection_oracle(reference)) <= 1e-8

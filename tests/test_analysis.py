@@ -58,6 +58,11 @@ class TestAggregates:
         with pytest.raises(MixedFamilyError):
             _agg(NoiseSchedule.harmonic(1.0, 1.0), NoiseSchedule.geometric(1.0, 0.5))
 
+    def test_start_shift_is_read_from_every_member(self):
+        assert _agg(NoiseSchedule.harmonic(1.0, 0.5), NoiseSchedule.harmonic(1.0, 0.0)).start_shifted
+        assert not _agg(NoiseSchedule.harmonic(1.0, 0.5), NoiseSchedule.harmonic(1.0, 1.0)).start_shifted
+        assert not _agg(NoiseSchedule.geometric(1.0, 0.5)).start_shifted
+
 
 class TestBounds:
     def test_harmonic_utility_reference_value(self):
@@ -147,6 +152,41 @@ class TestPrivacyBudget:
         budget = epsilon_total(_agg(schedule), 0.0, 3, Distribution.LAPLACE)
         assert budget.total == 0.0 and budget.log_total == -math.inf
         assert np.all(budget.per_step == 0.0)
+
+    # total, log_total and total_start_shifted of four equal schedules at
+    # delta = 0.3 and K = 17, as the budget gave them before the start shift
+    # was read from the aggregates (the same on both SIMD bit profiles).
+    @pytest.mark.parametrize("schedule, pinned", [
+        (NoiseSchedule.harmonic(3.7, 0.0), (11.027027027027026, 2.4003492617599376, 11.108108108108107)),
+        (NoiseSchedule.harmonic(3.7, 1.0), (12.405405405405405, 2.5181322974163205, None)),
+        (NoiseSchedule.geometric(1.3, 0.9), (10.376758332356047, 2.3395685295744695, None)),
+    ])
+    def test_homogeneous_budgets_keep_their_bits(self, schedule, pinned):
+        budget = epsilon_total(_agg(*[schedule] * 4), 0.3, 17, Distribution.LAPLACE)
+        assert (budget.total, budget.log_total, budget.total_start_shifted) == pinned
+
+    def test_mixed_offsets_bound_every_members_start_shifted_step(self):
+        # Node 1 (d = 0) draws at scale 1 at k = 0, a loss of delta / 1 that the
+        # k = 0 term delta * d_M / c_m = 0.5 alone would not cover.
+        schedules = [NoiseSchedule.harmonic(1.0, d) for d in (0.0, 0.5, 0.5)]
+        budget = epsilon_total(_agg(*schedules), 1.0, 3, Distribution.LAPLACE)
+        ks = np.arange(3, dtype=np.uint64)
+        worst = math.fsum(np.max([1.0 / s.scale(ks) for s in schedules], axis=0))
+        assert worst == 5.0
+        assert budget.total_start_shifted >= worst
+        assert budget.total_start_shifted == 5.0  # delta * max(d_M, 1) / c_m at k = 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(cs=st.lists(st.floats(0.1, 10.0), min_size=3, max_size=6),
+           ds=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5]), min_size=3, max_size=6),
+           delta=st.floats(0.1, 5.0), K=st.integers(1, 40))
+    def test_start_shifted_budget_bounds_the_worst_member_at_every_step(self, cs, ds, delta, K):
+        schedules = [NoiseSchedule.harmonic(c, d) for c, d in zip(cs, ds)]
+        budget = epsilon_total(_agg(*schedules), delta, K, Distribution.LAPLACE)
+        ks = np.arange(K, dtype=np.uint64)
+        worst = math.fsum(np.max([delta / s.scale(ks) for s in schedules], axis=0))
+        bound = budget.total if budget.total_start_shifted is None else budget.total_start_shifted
+        assert bound >= worst * (1 - 1e-12)
 
     @pytest.mark.parametrize("delta", [-1.0, math.nan, math.inf, -math.inf])
     def test_invalid_delta_rejected(self, delta):

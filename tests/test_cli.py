@@ -93,6 +93,9 @@ def _ai(*lines):
     return AI.replace("seed = 3", "\n    ".join(("seed = 3", *lines)))
 
 
+# Three members, one of whom leaves: the config's second phase has two.
+RING_OF_TWO = BASIC.replace("1.0 2.0 3.0 4.0", "1.0 2.0 3.0") + "\n[events]\nlist = leave 5 1\n"
+
 INVALID_RUN_SETTINGS = {
     "zero_trials": (BASIC.replace("trials = 5", "trials = 0"), ()),
     "negative_trials_override": (BASIC, ("--trials", "-3")),
@@ -103,6 +106,9 @@ INVALID_RUN_SETTINGS = {
     "ai_zero_rate": (_ai("horizon = 5", "rate = 0"), ()),
     "ai_negative_rate": (_ai("horizon = 5", "rate = -1.5"), ()),
     "ai_nan_rate": (_ai("horizon = 5", "rate = nan"), ()),
+    "ai_nan_horizon": (_ai("horizon = nan"), ()),
+    "ai_with_events": (_ai("horizon = 5") + "\n[events]\nlist = leave 5 1\n", ()),
+    "leave_to_a_ring_of_two": (RING_OF_TWO, ()),
 }
 
 
@@ -340,12 +346,19 @@ class TestThinSubcommands:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --tolerance 100" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--delta", "nan"), ("--delta", "inf"), ("--gu", "nan"),
+                                             ("--ga", "inf"), ("--gp", "nan"), ("--gp", "0")])
+    def test_tradeoff_rejects_non_finite_and_non_positive_settings(self, capsys, flag, value):
+        assert main(["tradeoff", "--n", "3", "--K", "4", "--delta", "1", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
     def test_tradeoff_matches_solver(self, capsys):
         from ringsum import TradeoffProblem, solve_harmonic
 
         assert main(["tradeoff", "--n", "3", "--delta", "1", "--K", "2"]) == 0
         values = dict(line.split() for line in capsys.readouterr().out.splitlines())
-        sol = solve_harmonic(TradeoffProblem(1, 1, 1, 3, 1.0, 2, Family.HARMONIC))
+        sol = solve_harmonic(TradeoffProblem(1, 1, 1, 3, 1.0, 2))
         assert float(values["c_star"]) == sol.c_star
 
     def test_oracle_suite_passes(self, capsys):

@@ -242,7 +242,7 @@ class TestAsynchronous:
         assert a.trace == b.trace
 
     def test_membership_events_rejected(self):
-        cfg = _config([1.0, 2.0, 3.0], steps=5, events=(Leave(2, node=1),))
+        cfg = _config([1.0, 2.0, 3.0, 4.0], steps=5, events=(Leave(2, node=1),))
         with pytest.raises(ConfigError):
             run_ai(cfg, rate=1.0, horizon=10.0)
 

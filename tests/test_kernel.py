@@ -198,17 +198,10 @@ class TestNonFinite:
         assert math.isnan(run.max_rel_drift)
 
 
-class _NoNoise:
-    def sample(self, *args, **kwargs):
-        raise AssertionError("a round ran before the config was rejected")
-
-
 def test_shrink_below_three_rejected_before_any_round():
-    cfg = ProtocolConfig.uniform(
-        [1.0, 2.0, 3.0], NoiseSchedule.harmonic(1.0, 1.0), Distribution.GAUSSIAN, 5000, 0,
-        events=(Leave(4000, node=1),),
-    )
-    with pytest.raises(ConfigError):
-        run_si(cfg, source=_NoNoise())
-    with pytest.raises(ConfigError):
-        trial_windows(cfg, trials=2)
+    # The config itself is rejected, so no engine ever gets to draw.
+    with pytest.raises(ConfigError, match="at least 3 members, got 2 from step 4001"):
+        ProtocolConfig.uniform(
+            [1.0, 2.0, 3.0], NoiseSchedule.harmonic(1.0, 1.0), Distribution.GAUSSIAN, 5000, 0,
+            events=(Leave(4000, node=1),),
+        )

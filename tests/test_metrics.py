@@ -4,6 +4,7 @@ import pytest
 
 from ringsum import (
     Distribution,
+    Join,
     Leave,
     NoiseSchedule,
     NoiseSource,
@@ -49,6 +50,19 @@ class TestWindows:
                 assert estimator(run, node, k) == pytest.approx(
                     states[k - 3 : k + 1, j].sum(), rel=0, abs=1e-12
                 )
+
+    def test_estimator_has_the_bits_of_window_sums_over_a_churn_run(self):
+        # The value trajectories.csv writes as y: cumulative sums and their
+        # differences, not a direct sum of the window's states.
+        cfg = _config([1.0, 2.0, 3.0, 4.0, 5.0], NoiseSchedule.harmonic(50.0, 1.0), steps=200, seed=3,
+                      events=(Leave(60, node=2), Join(120, 2, anchor=4, secret=3.5)))
+        run = run_si(cfg)
+        parts = window_sums(run)
+        assert len(parts) == 3
+        for part in parts:
+            got = np.array([[estimator(run, node, k) for node in part.order]
+                            for k in part.k_end.tolist()])
+            assert np.array_equal(got.view(np.uint64), part.y.view(np.uint64))
 
     def test_estimator_before_full_window_raises(self):
         run = run_si(_config([1.0, 2.0, 3.0, 4.0], steps=12))

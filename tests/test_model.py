@@ -171,6 +171,25 @@ class TestProtocolConfig:
                 events=(Join(5, 9, 1, 0.0), Leave(2, 4)),
             )
 
+    @pytest.mark.parametrize("secrets, events, message", [
+        ([1, 2, 3], (Leave(5, node=1),), "got 2 from step 6"),
+        ([1, 2, 3, 4], (Leave(3, node=1), Leave(5, node=2)), "got 2 from step 6"),
+        ([1, 2, 3], (Leave(9, node=3),), "got 2 from step 10"),  # leave in the last round
+        ([], (), "got 0 from step 0"),
+    ], ids=["leave", "second-leave", "last-round-leave", "empty"])
+    def test_phase_below_three_members_rejected(self, secrets, events, message):
+        with pytest.raises(ConfigError, match=f"at least 3 members, {message}$"):
+            ProtocolConfig.uniform(
+                secrets, NoiseSchedule.harmonic(1.0, 1.0), Distribution.GAUSSIAN, 10, 0, events=events
+            )
+
+    def test_join_and_leave_at_one_time_keep_three_members(self):
+        cfg = ProtocolConfig.uniform(
+            [1, 2, 3], NoiseSchedule.harmonic(1.0, 1.0), Distribution.GAUSSIAN, 10, 0,
+            events=(Join(5, 9, anchor=1, secret=0.0), Leave(5, node=2)),
+        )
+        assert [p.n for p in cfg.phases()] == [3, 4, 3]
+
     def test_too_few_secrets_rejected(self):
         with pytest.raises(ConfigError):
             ProtocolConfig.uniform(

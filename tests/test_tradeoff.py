@@ -7,7 +7,6 @@ import pytest
 from ringsum import (
     ConfigError,
     DegenerateTradeoffError,
-    Family,
     TradeoffProblem,
     explore_geometric,
     objective_geometric,
@@ -17,8 +16,8 @@ from ringsum import (
 from ringsum.tradeoff import cubic, upper_bracket
 
 
-def _problem(gu=1.0, ga=1.0, gp=1.0, n=3, delta=1.0, K=2, family=Family.HARMONIC):
-    return TradeoffProblem(gu, ga, gp, n, delta, K, family)
+def _problem(gu=1.0, ga=1.0, gp=1.0, n=3, delta=1.0, K=2):
+    return TradeoffProblem(gu, ga, gp, n, delta, K)
 
 
 def _reference_root(p):
@@ -100,13 +99,15 @@ class TestHarmonicSolver:
         with pytest.raises(DegenerateTradeoffError):
             solve_harmonic(_problem(K=1))
 
-    def test_wrong_family_rejected(self):
-        with pytest.raises(ConfigError):
-            solve_harmonic(_problem(family=Family.GEOMETRIC))
-
     def test_invalid_balancers_rejected(self):
         with pytest.raises(ConfigError):
             _problem(gu=0.0)
+
+    @pytest.mark.parametrize("field", ["gu", "ga", "gp", "delta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_settings_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ConfigError):
+            _problem(**{field: value})
 
 
 class TestGeometricExplorer:
@@ -150,4 +151,4 @@ class TestGeometricExplorer:
 
 
 def _problem_geo(K=10):
-    return TradeoffProblem(1.0, 1.0, 1.0, 3, 1.0, K, Family.GEOMETRIC)
+    return TradeoffProblem(1.0, 1.0, 1.0, 3, 1.0, K)
