@@ -203,7 +203,6 @@ def _run_simulate(args) -> int:
     parts = metrics.window_sums(run)
     _write_trajectories(out_dir / "trajectories.csv", run, parts)
     ks, errs = metrics.error_series(run, parts)
-    del parts  # freed before the Monte Carlo batch allocates its states
     agg = metrics.aggregate_trials(config, trials) if protocol == "si" and trials >= 2 else None
     if agg is not None:
         _write_errors(out_dir / "errors.csv", agg)

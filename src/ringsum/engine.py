@@ -7,11 +7,12 @@ node updates, matching the compact dynamics x(k+1) = A x(k) + (I - A) beta(k).
 
 The dynamics act alike on every Monte Carlo trial and each noise draw is a
 pure function of (seed, node, k, trial), so `simulate` advances all trials
-as one (trials, n) state, phase by phase. It only stores the states and
-hands each round's messages to a callback; its views are `run_si` (one
-trial), the Monte Carlo windows in `metrics` and the DP audit's message
-traces in `analysis`. `_drift` folds the member-sum drift for the views
-that report it.
+as one (trials, n) state, phase by phase. It only stores the states, in
+whole-phase buffers or in shorter ones that it hands back chunk by chunk,
+and hands each round's messages to a callback; its views are `run_si` (one
+trial), the streamed Monte Carlo windows in `metrics` and the DP audit's
+message traces in `analysis`. `_drift` folds the member-sum drift for the
+views that report it.
 
 The Poisson-clock variant `run_ai` draws each node's clock gaps and betas in
 one block per node and merges the ticks by (time, node id); only the
@@ -90,20 +91,26 @@ def _drift(phases, states) -> float:
     return max_drift
 
 
-def simulate(config: ProtocolConfig, trials: int, states: list, first_trial: int = 0,
-             source: NoiseSource | None = None, record=None) -> None:
+def simulate(config: ProtocolConfig, trials: int, states, first_trial: int = 0,
+             source: NoiseSource | None = None, record=None, flush=None) -> None:
     """Run trials first_trial .. first_trial + trials - 1 of `config` together.
 
-    `states[p]` stores phase p of `config.phases()`: its row t, of shape
-    (trials, n), receives the state at step start_k + t, in whatever memory
-    layout the caller chose. `record(k, senders, d)`, if given, receives each
+    `states` yields one buffer per phase of `config.phases()`, in whatever
+    memory layout the caller chose: its rows, of shape (trials, n), receive
+    the phase's states in order. A buffer may hold fewer rows than its phase
+    (at least 2 unless the phase has one state). When it is full, the filled
+    rows go to `flush(p, t, rows)`, rows[i] being phase p's state at step
+    start_k + t + i, and the last of them becomes row 0 of the next chunk;
+    the phase's last rows go to `flush` when it ends. `flush` may overwrite
+    the rows it is handed. `record(k, senders, d)`, if given, receives each
     round's delivered messages, d of shape (trials, len(senders)).
     """
     phases = config.phases()
     source, record = source or NoiseSource(config.rng_seed), record or (lambda *_: None)
+    flush = flush or (lambda *_: None)
     trial_ids = np.arange(first_trial, first_trial + trials, dtype=np.uint64)[:, None]
     x = np.asarray(phases[0].secrets, dtype=np.float64)
-    for phase, out in zip(phases, states, strict=True):
+    for p, (phase, out) in enumerate(zip(phases, states, strict=True)):
         if phase.joined is not None:
             j = phase.order.index(phase.joined)
             x = np.insert(x, j, phase.secrets[j], axis=1)
@@ -111,6 +118,7 @@ def simulate(config: ProtocolConfig, trials: int, states: list, first_trial: int
         last = phase.stop_k - phase.start_k
         rounds = last + (phase.leaver is not None)
         chunk = max(1, NOISE_CHUNK // (trials * phase.n))
+        t = 0  # the phase row in out[0]
         for c0 in range(0, rounds, chunk):
             ks = np.arange(phase.start_k + c0, phase.start_k + min(c0 + chunk, rounds))
             # Drawn in the memory order of the caller's rows, so that the
@@ -119,8 +127,14 @@ def simulate(config: ProtocolConfig, trials: int, states: list, first_trial: int
             betas = noise_block(source, config.distribution, phase.order, phase.schedules, ks,
                                 trial_ids, trials > 1 and out[0].strides[0] < out[0].strides[1])
             for r in range(c0, min(c0 + chunk, last)):
-                record(phase.start_k + r, *_round(out[r], betas[r - c0], phase.order, out[r + 1]))
-        x = out[last]
+                if r - t + 1 == len(out):
+                    x = out[-1].copy()
+                    flush(p, t, out)
+                    out[0], t = x, r
+                record(phase.start_k + r,
+                       *_round(out[r - t], betas[r - c0], phase.order, out[r - t + 1]))
+        x = out[last - t].copy()
+        flush(p, t, out[: last - t + 1])
         if phase.leaver is not None:
             li = phase.order.index(phase.leaver)
             new = np.empty_like(x)

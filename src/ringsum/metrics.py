@@ -6,10 +6,13 @@ forward-looking window starting at k-n+1, so results carry both indices.
 Windows reset on every membership change; errors are always measured against
 the current-phase member sum.
 
-Monte Carlo trials are simulated together: `engine.simulate` writes all
-trials' states into one tensor per phase (trials-major with membership
-events, step-major without), and the window sums are formed in place there.
-A single run's states are read-only, so its window sums work on a copy.
+Monte Carlo trials are simulated together and streamed: `engine.simulate`
+writes all trials' states a chunk of rounds at a time into one buffer per
+phase (trials-major with membership events, step-major without), the window
+sums are formed in place there, carrying the last cumulative sums from chunk
+to chunk, and each chunk is reduced over trials before the next overwrites
+it. Memory does not grow with the number of steps. A single run's states are
+read-only, so its window sums work on a copy.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import engine
 from .model import ProtocolConfig, RingSumError
 from .engine import RunResult, run_si, simulate  # noqa: F401 (run_si stays importable here)
 
@@ -43,6 +47,32 @@ class PhaseWindows:
         return np.abs(self.y - self.target).sum(axis=1)
 
 
+def _window_rows(rows: np.ndarray, n: int, carry: np.ndarray | None = None) -> np.ndarray:
+    """Turn consecutive states `rows` (steps, ..., n) of a phase into their
+    window sums in place, wherever n states end at a row.
+
+    `carry` is None at the phase's first state. For rows that go on from a
+    chunk before, rows[0] repeats the state that ended it and `carry` holds
+    the cumulative sums of the n + 1 states up to that one. Returns the carry
+    for the rows after these.
+    """
+    if carry is not None:
+        # Row 1 then gets carry[-1] + state, the addition of one long cumsum.
+        rows[0] = carry[-1]
+    np.cumsum(rows, axis=0, out=rows)
+    if carry is None or len(rows) > n:
+        after = rows[-(n + 1) :].copy()
+    else:
+        after = np.concatenate([carry[len(rows) - 1 :], rows[1:]])
+    # Descending blocks of at most n rows never overlap their source.
+    for hi in range(len(rows), n, -n):
+        lo = max(n, hi - n)
+        rows[lo:hi] -= rows[lo - n : hi - n]
+    if carry is not None:
+        rows[:n] -= carry[: len(rows[:n])]
+    return after
+
+
 def _windows(stretches) -> list[PhaseWindows]:
     """Full-window estimates of each (start_k, order, target, states) stretch;
     the step-indexed `states` (steps, ..., n) become the window sums in place."""
@@ -51,11 +81,7 @@ def _windows(stretches) -> list[PhaseWindows]:
         n = len(order)
         if len(states) < n:
             continue
-        np.cumsum(states, axis=0, out=states)
-        # Descending blocks of at most n rows never overlap their source.
-        for hi in range(len(states), n, -n):
-            lo = max(n, hi - n)
-            states[lo:hi] -= states[lo - n : hi - n]
+        _window_rows(states, n)
         k_end = start_k + np.arange(n - 1, len(states))
         out.append(PhaseWindows(order, target, k_end, np.moveaxis(states[n - 1 :], 0, -2)))
     return out
@@ -97,12 +123,6 @@ def error_series(run: RunResult, parts: list[PhaseWindows] | None = None
 
 # -- Monte Carlo aggregation ------------------------------------------------
 
-# Steps per slice of the Monte Carlo statistics (at least 2): a slice's
-# temporaries are (trials, STAT_STEPS, n) values, 2 MB at 100 trials of 10
-# members.
-STAT_STEPS = 256
-
-
 @dataclass
 class ErrorAggregate:
     """Per-step Monte Carlo error estimates across independent trials."""
@@ -126,57 +146,74 @@ class ErrorAggregate:
         )
 
 
-def trial_windows(config: ProtocolConfig, trials: int) -> list[PhaseWindows]:
-    """Estimator series stacked across trials: y has shape (trials, steps, n)."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
+def _stream(config: ProtocolConfig, trials: int, take) -> None:
+    """Run `trials` trials of `config` together, a chunk of rounds at a time.
+
+    take(phase, k_end, y) receives each chunk's windows that end at k_end, y
+    of shape (trials, windows, n). After a phase's first chunk, y's first
+    window repeats the last one of the chunk before (k_end does not list it
+    again), so that no chunk short of its phase holds a single window.
+    """
     phases = config.phases()
-    # The layout decides the bytes of the aggregates: reductions over trials
-    # sum a C-ordered (trials, steps, n) tensor sequentially, but a
-    # transposed step-major tensor pairwise. Keep the two established paths.
-    if config.events:
-        states = [np.empty((trials, p.stop_k - p.start_k + 1, p.n)).swapaxes(0, 1) for p in phases]
-    else:
-        states = [np.empty((config.steps + 1, trials, len(config.secrets)))]
-    simulate(config, trials, states)
-    return _windows((p.start_k, p.order, p.target, v) for p, v in zip(phases, states))
+
+    def buffers():
+        for p in phases:
+            # A noise block's rounds, but at least n: a chunk short of its
+            # phase then ends past the phase's first window.
+            rows = min(p.stop_k - p.start_k, max(engine.NOISE_CHUNK // (trials * p.n), p.n)) + 1
+            # The layout decides the bytes of the aggregates: reductions over
+            # trials sum a C-ordered (trials, steps, n) tensor sequentially,
+            # but a transposed step-major tensor pairwise. Keep the two
+            # established layouts, chunk by chunk.
+            if config.events:
+                yield np.empty((trials, rows, p.n)).swapaxes(0, 1)
+            else:
+                yield np.empty((rows, trials, p.n))
+
+    carry = None
+
+    def flush(p, t, rows):
+        nonlocal carry
+        phase = phases[p]
+        carry = _window_rows(rows, phase.n, carry if t else None)
+        # After the first chunk, rows[0] repeats the window that ended the one before.
+        lo, fresh = (0, 1) if t else (phase.n - 1, phase.n - 1)
+        if len(rows) > fresh:
+            k_end = phase.start_k + t + np.arange(fresh, len(rows))
+            take(phase, k_end, np.moveaxis(rows[lo:], 0, -2))
+
+    simulate(config, trials, buffers(), flush=flush)
 
 
 def aggregate_trials(config: ProtocolConfig, trials: int) -> ErrorAggregate:
     """Mean absolute error and estimator variance per step, with standard errors."""
     if trials < 2:
         raise ValueError("variance estimation needs at least 2 trials")
-    parts = trial_windows(config, trials)
-    if not parts:  # no phase is long enough to fill a window
-        return ErrorAggregate(np.array([], dtype=int), *[np.array([])] * 4, trials=trials)
-    ks, maes, mae_ses, sumvars, sv_ses = [], [], [], [], []
-    for p in parts:
-        ks.append(p.k_end)
-        # Slices of steps bound the temporaries; every (step, node) cell is
-        # still reduced over the trials of the same memory layout. numpy sums
-        # a trials-major slice of one step pairwise, and one of more steps row
-        # by row, as the whole phase, so a last single step joins the slice
-        # before it.
-        bounds = [*range(0, max(len(p.k_end) - 1, 1), STAT_STEPS), len(p.k_end)]
-        for lo, hi in zip(bounds, bounds[1:]):
-            y = p.y[:, lo:hi]
-            dev = y - p.target
-            sae = np.abs(dev, out=dev).sum(axis=2)  # (trials, steps)
-            del dev  # free it before var() allocates its own temporary
-            maes.append(sae.mean(axis=0))
-            mae_ses.append(sae.std(axis=0, ddof=1) / math.sqrt(trials))
-            var = y.var(axis=0, ddof=1)  # (steps, n)
-            sumvars.append(var.sum(axis=1))
+    columns = []
+
+    def take(phase, k_end, y):
+        # Every (step, node) cell is reduced over the trials of the whole
+        # phase's memory layout. numpy sums a trials-major chunk of one
+        # window pairwise, and one of more windows row by row, so a chunk
+        # reduces the repeated window along with its own.
+        dev = y - phase.target
+        sae = np.abs(dev, out=dev).sum(axis=2)  # (trials, windows)
+        del dev  # free it before var() allocates its own temporary
+        var = y.var(axis=0, ddof=1)  # (windows, n)
+        new = slice(y.shape[1] - len(k_end), None)
+        columns.append((
+            k_end,
+            sae.mean(axis=0)[new],
+            (sae.std(axis=0, ddof=1) / math.sqrt(trials))[new],
+            var.sum(axis=1)[new],
             # Gaussian approximation: var(sample variance) ~ 2 sigma^4 / (T - 1).
-            sv_ses.append(np.sqrt((2.0 * var**2 / (trials - 1)).sum(axis=1)))
-    return ErrorAggregate(
-        ks=np.concatenate(ks),
-        mean_abs_error=np.concatenate(maes),
-        mae_stderr=np.concatenate(mae_ses),
-        sum_variance=np.concatenate(sumvars),
-        sum_variance_stderr=np.concatenate(sv_ses),
-        trials=trials,
-    )
+            np.sqrt((2.0 * var**2 / (trials - 1)).sum(axis=1))[new],
+        ))
+
+    _stream(config, trials, take)
+    if not columns:  # no phase is long enough to fill a window
+        return ErrorAggregate(np.array([], dtype=int), *[np.array([])] * 4, trials=trials)
+    return ErrorAggregate(*map(np.concatenate, zip(*columns)), trials=trials)
 
 
 def trial_mean_estimates(
@@ -185,10 +222,16 @@ def trial_mean_estimates(
     """(nodes, mean of y_i(k_end) across trials, standard errors)."""
     if trials < 2:
         raise ValueError("a standard error needs at least 2 trials")
-    parts = trial_windows(config, trials)
-    for p in parts:
-        idx = np.flatnonzero(p.k_end == k_end)
-        if idx.size:
-            y = p.y[:, int(idx[0]), :]
-            return p.order, y.mean(axis=0), y.std(axis=0, ddof=1) / math.sqrt(trials)
-    raise WindowNotFullError(f"no full window ends at k={k_end}")
+    found = []
+
+    def take(phase, ks, y):
+        idx = np.flatnonzero(ks == k_end)
+        if idx.size and not found:
+            y_k = y[:, int(idx[0]) - len(ks)]
+            stderr = y_k.std(axis=0, ddof=1) / math.sqrt(trials)
+            found.append((phase.order, y_k.mean(axis=0), stderr))
+
+    _stream(config, trials, take)
+    if not found:
+        raise WindowNotFullError(f"no full window ends at k={k_end}")
+    return found[0]

@@ -1,10 +1,11 @@
-"""Blocked, threaded noise and sliced statistics against the code they replaced.
+"""Blocked, threaded noise and chunked statistics against the code they replaced.
 
-The oracles below are the allocating noise pipeline (`_hash`, `_to_unit`
-and the `NoiseSource` methods) and the whole-tensor Monte Carlo statistics,
-kept verbatim (only renamed). The noise is now drawn in blocks, in place,
-on a thread pool, and the statistics are taken in slices of steps; neither
-may change a bit, whatever the block size, the worker count or the slice.
+The oracles are the allocating noise pipeline (`_hash`, `_to_unit` and the
+`NoiseSource` methods), kept verbatim below (only renamed), and the
+whole-tensor Monte Carlo statistics of `whole_tensor.py`. The noise is now
+drawn in blocks, in place, on a thread pool, and the statistics are streamed
+in chunks of rounds; neither may change a bit, whatever the block size, the
+worker count or the chunk.
 """
 import math
 import os
@@ -19,8 +20,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ringsum import Distribution, Join, Leave, NoiseSchedule, NoiseSource, ProtocolConfig, noise
-from ringsum import engine, metrics
-from ringsum.metrics import ErrorAggregate, PhaseWindows, aggregate_trials, trial_windows
+from ringsum import engine
+from ringsum.metrics import aggregate_trials
+from whole_tensor import assert_same_aggregate, oracle_aggregate_trials, trial_windows
 
 
 # -- the allocating noise pipeline ---------------------------------------------
@@ -290,82 +292,55 @@ def test_node_major_states_equal_trial_major_ones(pools, dist, layout, workers):
             assert np.array_equal(bits(a), bits(b))
 
 
-# -- the sliced statistics equal the whole-tensor ones ------------------------
-
-
-def oracle_aggregate_trials(config: ProtocolConfig, trials: int) -> ErrorAggregate:
-    """Mean absolute error and estimator variance per step, with standard errors."""
-    if trials < 2:
-        raise ValueError("variance estimation needs at least 2 trials")
-    parts = trial_windows(config, trials)
-    if not parts:  # no phase is long enough to fill a window
-        return ErrorAggregate(np.array([], dtype=int), *[np.array([])] * 4, trials=trials)
-    ks, maes, mae_ses, sumvars, sv_ses = [], [], [], [], []
-    for p in parts:
-        dev = p.y - p.target
-        sae = np.abs(dev, out=dev).sum(axis=2)  # (trials, steps)
-        del dev  # free it before var() allocates its own temporary
-        maes.append(sae.mean(axis=0))
-        mae_ses.append(sae.std(axis=0, ddof=1) / math.sqrt(trials))
-        var = p.y.var(axis=0, ddof=1)  # (steps, n)
-        sumvars.append(var.sum(axis=1))
-        # Gaussian approximation: var(sample variance) ~ 2 sigma^4 / (T - 1).
-        sv_ses.append(np.sqrt((2.0 * var**2 / (trials - 1)).sum(axis=1)))
-        ks.append(p.k_end)
-    return ErrorAggregate(
-        ks=np.concatenate(ks),
-        mean_abs_error=np.concatenate(maes),
-        mae_stderr=np.concatenate(mae_ses),
-        sum_variance=np.concatenate(sumvars),
-        sum_variance_stderr=np.concatenate(sv_ses),
-        trials=trials,
-    )
-
-
-def assert_same_aggregate(got, want) -> None:
-    assert np.array_equal(got.ks, want.ks)
-    for name in ("mean_abs_error", "mae_stderr", "sum_variance", "sum_variance_stderr"):
-        assert np.array_equal(bits(getattr(got, name)), bits(getattr(want, name))), name
+# -- the chunked statistics equal the whole-tensor ones ------------------------
 
 
 SECRETS = [25.1698, 15.3211, 69.9334, 45.7828, 98.0388]
-LAYOUTS = {  # trials-major tensors with membership events, step-major without
+LAYOUTS = {  # trials-major chunks with membership events, step-major without
     "dense": (),
     "events": (Leave(599, node=5), Join(1280, node=5, anchor=4, secret=SECRETS[-1])),
 }
 
 
-@pytest.mark.parametrize("stat_steps", [2, 7, metrics.STAT_STEPS])
+@pytest.mark.parametrize("rounds", [2, 7, None])
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-def test_sliced_statistics_equal_the_whole_tensor_ones(layout, stat_steps):
-    # 1796 steps: each phase spans more than two slices. The windows per
+def test_chunked_statistics_equal_the_whole_tensor_ones(layout, rounds):
+    # 1796 steps: each phase spans more than two chunks. The windows per
     # phase are 1793 without events and 596, 678 and 513 with them, so the
-    # last slice of a phase is one step long (which joins the slice before
-    # it), full, or ragged.
+    # last chunk of a phase is full or ragged. Noise blocks of 2 rounds give
+    # chunks of n rounds (the floor), of 7 rounds chunks of 7 or 8, and the
+    # default block holds every phase whole.
     config = ProtocolConfig.uniform(SECRETS, NoiseSchedule.harmonic(1000.0, 1.0),
                                     Distribution.GAUSSIAN, 1796, 42, LAYOUTS[layout])
     lengths = [len(p.k_end) for p in trial_windows(config, 2)]
     assert lengths == ([1793] if layout == "dense" else [596, 678, 513])
-    with mock.patch.object(metrics, "STAT_STEPS", stat_steps):
+    chunk = engine.NOISE_CHUNK if rounds is None else rounds * 13 * len(SECRETS)
+    with mock.patch.object(engine, "NOISE_CHUNK", chunk):
         got = aggregate_trials(config, 13)
     assert_same_aggregate(got, oracle_aggregate_trials(config, 13))
 
 
 @pytest.mark.parametrize("steps", [1, 2, 8, 9, 10, 11])
-@pytest.mark.parametrize("layout", ["trials-major", "step-major"])
-def test_sliced_statistics_keep_the_order_of_each_sum(layout, steps):
-    # Windows of magnitudes 1e-8 .. 1e8: summed over the 40 trials in
-    # another order, almost every cell rounds differently. Slices of 4
-    # steps; 9 steps would leave a last slice of one step.
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_chunked_statistics_keep_the_order_of_each_sum(layout, steps):
+    # Noise of magnitudes 1e-8 .. 1e8: summed over the 40 trials in another
+    # order, almost every cell rounds differently. Chunks of 4 rounds on 3
+    # nodes; 9 steps (10 with events) leave a last chunk of one new state. Node
+    # 4 leaves in round 0 with events, so their windows are those of the 3
+    # nodes after it.
     rng = np.random.default_rng(steps)
-    y = rng.standard_normal((40, steps, 3)) * 10.0 ** rng.uniform(-8, 8, (40, steps, 3))
-    if layout == "step-major":
-        y = np.ascontiguousarray(y.swapaxes(0, 1)).swapaxes(0, 1)
-    parts = [PhaseWindows((1, 2, 3), 0.5, np.arange(2, steps + 2), y)]
-    with mock.patch.object(metrics, "trial_windows", lambda config, trials: parts), \
-            mock.patch.dict(globals(), trial_windows=lambda config, trials: parts), \
-            mock.patch.object(metrics, "STAT_STEPS", 4):
-        assert_same_aggregate(aggregate_trials(None, 40), oracle_aggregate_trials(None, 40))
+    wide = rng.standard_normal((steps + 1, 40, 4)) * 10.0 ** rng.uniform(-8, 8, (steps + 1, 40, 4))
+
+    def wide_noise(source, dist, order, schedules, ks, trials, node_major=False):
+        return wide[np.asarray(ks, dtype=np.intp)][:, trials.ravel().astype(np.intp)][
+            :, :, np.array(order) - 1]
+
+    config = ProtocolConfig.uniform(SECRETS[:3] if layout == "dense" else SECRETS[:4],
+                                    NoiseSchedule.harmonic(1.0, 1.0), Distribution.GAUSSIAN,
+                                    steps, 0, () if layout == "dense" else (Leave(0, node=4),))
+    with mock.patch.object(engine, "noise_block", wide_noise), \
+            mock.patch.object(engine, "NOISE_CHUNK", 4 * 40 * 3):
+        assert_same_aggregate(aggregate_trials(config, 40), oracle_aggregate_trials(config, 40))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -17,8 +17,8 @@ from ringsum import (
     window_sums,
 )
 from ringsum.engine import _drift, simulate
-from ringsum.metrics import trial_windows
 from stepping_engine import ProtocolRun, join, leave, si_step
+from whole_tensor import trial_windows
 
 
 @st.composite

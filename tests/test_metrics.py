@@ -1,4 +1,6 @@
 """Estimator windows and Monte Carlo aggregation."""
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,8 @@ from ringsum import (
     trial_mean_estimates,
     window_sums,
 )
+from ringsum import engine, metrics
 from ringsum.engine import _drift, simulate
-from ringsum.metrics import trial_windows
 
 ZERO = NoiseSchedule.harmonic(0.0, 1.0)
 HARM = NoiseSchedule.harmonic(3.0, 1.0)
@@ -98,13 +100,26 @@ class TestDensePath:
             run = run_si(cfg, trial=t, record_trace=False)
             assert np.array_equal(run.phases[0][1], states[:, t, :])
 
-    def test_trial_windows_event_path_matches_dense_path(self):
-        cfg = _config([1.0, 2.0, 3.0], steps=15, seed=2)
-        (dense,) = trial_windows(cfg, trials=4)
-        # Force the per-run path by rebuilding from individual runs.
+    @pytest.mark.parametrize("events", [(), (Leave(9, 4), Join(20, 4, anchor=1, secret=9.0))])
+    def test_streamed_windows_equal_single_run_windows(self, events):
+        # Noise blocks of one round: chunks of n rounds, step-major without
+        # events and trials-major with them.
+        cfg = _config([1.0, 2.0, 3.0, 4.0], steps=31, seed=2, events=events)
+        streamed = []
+
+        def take(phase, k_end, y):
+            streamed.append((phase.start_k, k_end, y[:, y.shape[1] - len(k_end) :].copy()))
+
+        with mock.patch.object(engine, "NOISE_CHUNK", 1):
+            metrics._stream(cfg, 4, take)
+        assert len(streamed) > 2 * len(cfg.phases())
         for t in range(4):
-            (single,) = window_sums(run_si(cfg, trial=t, record_trace=False))
-            assert np.array_equal(dense.y[t], single.y)
+            for single in window_sums(run_si(cfg, trial=t, record_trace=False)):
+                start_k = single.k_end[0] - len(single.order) + 1
+                mine = [(k, y[t]) for start, k, y in streamed if start == start_k]
+                assert np.array_equal(np.concatenate([k for k, _ in mine]), single.k_end)
+                assert np.array_equal(np.concatenate([y for _, y in mine]).view(np.uint64),
+                                      single.y.view(np.uint64))
 
 
 class TestAggregation:
