@@ -51,6 +51,11 @@ from .noise import NoiseSource
 NOISE_CHUNK = 1 << 18
 
 
+def chunk_rounds(trials: int, n: int) -> int:
+    """Rounds per noise block of `trials` trials of n members (at least one)."""
+    return max(1, NOISE_CHUNK // (trials * n))
+
+
 def noise_block(source, dist, order, schedules, ks, trials, node_major=False) -> np.ndarray:
     """beta for every step in `ks`, trial and member: shape (len(ks), trials, n)."""
     ks = np.asarray(ks, dtype=np.uint64)
@@ -117,7 +122,7 @@ def simulate(config: ProtocolConfig, trials: int, states, first_trial: int = 0,
         out[0] = x
         last = phase.stop_k - phase.start_k
         rounds = last + (phase.leaver is not None)
-        chunk = max(1, NOISE_CHUNK // (trials * phase.n))
+        chunk = chunk_rounds(trials, phase.n)
         t = 0  # the phase row in out[0]
         for c0 in range(0, rounds, chunk):
             ks = np.arange(phase.start_k + c0, phase.start_k + min(c0 + chunk, rounds))

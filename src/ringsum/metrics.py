@@ -54,16 +54,14 @@ def _window_rows(rows: np.ndarray, n: int, carry: np.ndarray | None = None) -> n
     `carry` is None at the phase's first state. For rows that go on from a
     chunk before, rows[0] repeats the state that ended it and `carry` holds
     the cumulative sums of the n + 1 states up to that one. Returns the carry
-    for the rows after these.
+    for the rows after these; only a chunk of at least n + 1 rows is carried
+    on (a shorter one ends its phase).
     """
     if carry is not None:
         # Row 1 then gets carry[-1] + state, the addition of one long cumsum.
         rows[0] = carry[-1]
     np.cumsum(rows, axis=0, out=rows)
-    if carry is None or len(rows) > n:
-        after = rows[-(n + 1) :].copy()
-    else:
-        after = np.concatenate([carry[len(rows) - 1 :], rows[1:]])
+    after = rows[-(n + 1) :].copy()
     # Descending blocks of at most n rows never overlap their source.
     for hi in range(len(rows), n, -n):
         lo = max(n, hi - n)
@@ -160,7 +158,7 @@ def _stream(config: ProtocolConfig, trials: int, take) -> None:
         for p in phases:
             # A noise block's rounds, but at least n: a chunk short of its
             # phase then ends past the phase's first window.
-            rows = min(p.stop_k - p.start_k, max(engine.NOISE_CHUNK // (trials * p.n), p.n)) + 1
+            rows = min(p.stop_k - p.start_k, max(engine.chunk_rounds(trials, p.n), p.n)) + 1
             # The layout decides the bytes of the aggregates: reductions over
             # trials sum a C-ordered (trials, steps, n) tensor sequentially,
             # but a transposed step-major tensor pairwise. Keep the two

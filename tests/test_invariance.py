@@ -320,27 +320,39 @@ def test_chunked_statistics_equal_the_whole_tensor_ones(layout, rounds):
     assert_same_aggregate(got, oracle_aggregate_trials(config, 13))
 
 
-@pytest.mark.parametrize("steps", [1, 2, 8, 9, 10, 11])
+@pytest.mark.parametrize("windows", [1, 2, 8, 9, 10, 11])
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-def test_chunked_statistics_keep_the_order_of_each_sum(layout, steps):
-    # Noise of magnitudes 1e-8 .. 1e8: summed over the 40 trials in another
-    # order, almost every cell rounds differently. Chunks of 4 rounds on 3
-    # nodes; 9 steps (10 with events) leave a last chunk of one new state. Node
-    # 4 leaves in round 0 with events, so their windows are those of the 3
-    # nodes after it.
-    rng = np.random.default_rng(steps)
+def test_chunked_statistics_keep_the_order_of_each_sum(layout, windows):
+    # States of magnitudes 1e-8 .. 1e8: summed over the 40 trials in another
+    # order, almost every cell rounds differently. The protocol's rounds keep
+    # a window near the member sum, so each round here just sets the state to
+    # its noise, and the windows are as wide as the noise. Windows of 3 nodes:
+    # a run of K steps has K - 1 of them without events, and K - 2 with
+    # events, where node 4 leaves in round 0 so that the windows are those of
+    # the 3 nodes after it. Chunks of 4 rounds; 8 windows leave a last chunk
+    # of one new state, and a single window is a single trials-major one with
+    # events.
+    steps = windows + (1 if layout == "dense" else 2)
+    rng = np.random.default_rng(windows)
     wide = rng.standard_normal((steps + 1, 40, 4)) * 10.0 ** rng.uniform(-8, 8, (steps + 1, 40, 4))
 
     def wide_noise(source, dist, order, schedules, ks, trials, node_major=False):
         return wide[np.asarray(ks, dtype=np.intp)][:, trials.ravel().astype(np.intp)][
             :, :, np.array(order) - 1]
 
+    def noise_round(x, beta, order, out, leaver=None, secret=0.0):
+        out[...] = beta
+        return order, beta
+
     config = ProtocolConfig.uniform(SECRETS[:3] if layout == "dense" else SECRETS[:4],
                                     NoiseSchedule.harmonic(1.0, 1.0), Distribution.GAUSSIAN,
                                     steps, 0, () if layout == "dense" else (Leave(0, node=4),))
     with mock.patch.object(engine, "noise_block", wide_noise), \
+            mock.patch.object(engine, "_round", noise_round), \
             mock.patch.object(engine, "NOISE_CHUNK", 4 * 40 * 3):
-        assert_same_aggregate(aggregate_trials(config, 40), oracle_aggregate_trials(config, 40))
+        got, want = aggregate_trials(config, 40), oracle_aggregate_trials(config, 40)
+    assert len(want.ks) == windows
+    assert_same_aggregate(got, want)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

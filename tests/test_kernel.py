@@ -1,5 +1,6 @@
 """The trial-batched synchronous kernel against the round-by-round engine."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ from ringsum import (
     run_si,
     window_sums,
 )
+from ringsum import engine, metrics
 from ringsum.engine import _drift, simulate
 from stepping_engine import ProtocolRun, join, leave, si_step
-from whole_tensor import trial_windows
 
 
 @st.composite
@@ -86,21 +87,32 @@ def bits(values) -> np.ndarray:
 
 
 @settings(max_examples=40, deadline=None)
-@given(config=churn_configs(), trials=st.integers(1, 4))
-def test_batched_rows_equal_single_trial_runs(config, trials):
+@given(config=churn_configs(), trials=st.integers(1, 4), noise=st.integers(1, 400))
+def test_batched_rows_equal_single_trial_runs(config, trials, noise):
     storage = [np.empty((p.stop_k - p.start_k + 1, trials, p.n)) for p in config.phases()]
     simulate(config, trials, storage)
     assert _drift(config.phases(), storage) <= 1e-10
-    windows = trial_windows(config, trials)
+    # The Monte Carlo windows, streamed in chunks of `noise` values' rounds
+    # (at least n): each chunk's new windows, per phase.
+    streamed = []
+
+    def take(phase, k_end, y):
+        if not streamed or streamed[-1][0] is not phase:
+            streamed.append((phase, [], []))
+        streamed[-1][1].append(k_end)
+        streamed[-1][2].append(y[:, y.shape[1] - len(k_end) :].copy())
+
+    with mock.patch.object(engine, "NOISE_CHUNK", noise):
+        metrics._stream(config, trials, take)
     for t in range(trials):
         run = run_si(config, trial=t)
         assert run.max_rel_drift <= 1e-10
         singles = window_sums(run)
-        assert len(singles) == len(windows)
-        for batched, single in zip(windows, singles):
-            assert batched.order == single.order
-            assert np.array_equal(batched.k_end, single.k_end)
-            assert np.array_equal(batched.y[t], single.y)
+        assert len(singles) == len(streamed)
+        for (phase, k_ends, ys), single in zip(streamed, singles):
+            assert phase.order == single.order
+            assert np.array_equal(np.concatenate(k_ends), single.k_end)
+            assert np.array_equal(bits(np.concatenate(ys, axis=1)[t]), bits(single.y))
 
 
 @settings(max_examples=40, deadline=None)

@@ -47,8 +47,10 @@ def noise_chunk(chunk: str, trials: int) -> int:
 
 
 def chunk_rounds(noise: int, trials: int, n: int) -> int:
-    """Rounds per chunk of a phase of n members, as `metrics` sizes them."""
-    return max(noise // (trials * n), n)
+    """Rounds per chunk of a phase of n members, as `metrics` sizes them:
+    a noise block's rounds, but at least n."""
+    with mock.patch.object(engine, "NOISE_CHUNK", noise):
+        return max(engine.chunk_rounds(trials, n), n)
 
 
 def make_config(kind: str, dist: Distribution, noise: int, trials: int, offset: int):
