@@ -29,19 +29,14 @@ from .metrics import (
 )
 from .analysis import (
     AuditResult,
-    CirculantReport,
     InsufficientSamplesError,
-    Lemma1Report,
     MixedFamilyError,
     NonFiniteTraceError,
     PrivacyBudget,
     ScheduleAggregates,
     UnsupportedDistributionError,
-    circulant_oracle,
     dp_audit,
     epsilon_total,
-    lemma1_check,
-    shift_matrix,
     utility_bound,
     variance_bound,
 )

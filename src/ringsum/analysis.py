@@ -1,5 +1,5 @@
 """Closed-form utility/variance bounds, differential-privacy accounting, and
-the structural oracles used to verify the simulator independently.
+the empirical differential-privacy audit.
 
 Privacy accounting is kept in log space throughout: geometric schedules have
 per-step budgets growing like phi**(-k), which overflow float64 long before
@@ -54,7 +54,6 @@ class ScheduleAggregates:
     c_M: float
     c_m: float
     d_M: float | None = None
-    phi_M: float | None = None
     phi_m: float | None = None
     pairs: tuple[tuple[float, float], ...] = ()  # (c_i, phi_i), geometric only
     start_shifted: bool = False  # some member draws its k = 0 noise at d = 1
@@ -72,15 +71,8 @@ class ScheduleAggregates:
         if family is Family.HARMONIC:
             return cls(family, max(cs), min(cs), d_M=max(s.d for s in schedules),
                        start_shifted=any(s.start_shifted for s in schedules))
-        phis = [s.phi for s in schedules]
-        return cls(
-            family,
-            max(cs),
-            min(cs),
-            phi_M=max(phis),
-            phi_m=min(phis),
-            pairs=tuple((s.c, s.phi) for s in schedules),
-        )
+        return cls(family, max(cs), min(cs), phi_m=min(s.phi for s in schedules),
+                   pairs=tuple((s.c, s.phi) for s in schedules))
 
 
 def utility_bound(agg: ScheduleAggregates, n: int) -> float:
@@ -318,81 +310,3 @@ def dp_audit(config: ProtocolConfig, delta: float, K: int, samples: int) -> Audi
         bins_skipped=bins_skipped,
         samples=samples,
     )
-
-
-# -- structural oracles -------------------------------------------------------
-
-
-def shift_matrix(n: int, dtype=np.float64) -> np.ndarray:
-    """The cyclic-shift matrix A with x(k+1) = A x(k) rotating states forward."""
-    a = np.zeros((n, n), dtype=dtype)
-    for i in range(n):
-        a[i, (i - 1) % n] = 1
-    return a
-
-
-@dataclass(frozen=True)
-class CirculantReport:
-    n: int
-    power_sum_is_all_ones: bool
-    nth_power_is_identity: bool
-
-    @property
-    def holds(self) -> bool:
-        return self.power_sum_is_all_ones and self.nth_power_is_identity
-
-
-def circulant_oracle(n: int) -> CirculantReport:
-    """Verify sum_{r<n} A^r equals the all-ones matrix and A^n = I, exactly.
-
-    Integer matrix arithmetic, so the check is free of rounding.
-    """
-    if not 3 <= n <= 64:
-        raise ConfigError(f"oracle supports 3 <= n <= 64, got {n}")
-    a = shift_matrix(n, dtype=np.int64)
-    power = np.eye(n, dtype=np.int64)
-    total = np.zeros((n, n), dtype=np.int64)
-    for _ in range(n):
-        total += power
-        power = a @ power
-    return CirculantReport(
-        n=n,
-        power_sum_is_all_ones=bool(np.array_equal(total, np.ones((n, n), dtype=np.int64))),
-        nth_power_is_identity=bool(np.array_equal(power, np.eye(n, dtype=np.int64))),
-    )
-
-
-@dataclass(frozen=True)
-class Lemma1Report:
-    mc_trace: float
-    bound: float
-    stderr: float
-    holds: bool
-
-
-def lemma1_check(matrices, variances, samples: int = 100_000, seed: int = 0) -> Lemma1Report:
-    """Monte Carlo check of tr(cov(sum_i C^i r^i)) <= sum_i ||C^i||_F^2 sigma_M^i.
-
-    Each r^i has independent zero-mean Gaussian components with the given
-    per-component variances (diagonal covariance by construction).
-    """
-    matrices = [np.asarray(c, dtype=np.float64) for c in matrices]
-    variances = [np.asarray(v, dtype=np.float64) for v in variances]
-    if len(matrices) != len(variances):
-        raise ValueError("need one variance vector per matrix")
-    n = matrices[0].shape[0]
-    for c, v in zip(matrices, variances):
-        if c.shape != (n, n) or v.shape != (n,):
-            raise ValueError(f"dimension mismatch: expected ({n},{n}) and ({n},)")
-    rng = np.random.default_rng(seed)
-    y = np.zeros((samples, n))
-    for c, v in zip(matrices, variances):
-        r = rng.normal(size=(samples, n)) * np.sqrt(v)
-        y += r @ c.T
-    var_j = y.var(axis=0, ddof=1)
-    mc_trace = float(var_j.sum())
-    bound = math.fsum(
-        float((c**2).sum()) * float(v.max()) for c, v in zip(matrices, variances)
-    )
-    stderr = float(np.sqrt((2.0 * var_j**2 / (samples - 1)).sum()))
-    return Lemma1Report(mc_trace, bound, stderr, mc_trace <= bound + 3.0 * stderr)

@@ -20,6 +20,7 @@ from . import analysis, engine, metrics, tradeoff
 from .model import (
     ConfigError,
     Distribution,
+    Family,
     Join,
     Leave,
     NoiseSchedule,
@@ -45,10 +46,12 @@ def _fmt(x) -> str:
 
 
 def _schedule_from_args(family: str, c: float, d: float | None, phi: float | None) -> NoiseSchedule:
+    """The other family's parameter goes through as given, so that
+    NoiseSchedule rejects it rather than the run ignoring it."""
     if family == "harmonic":
-        return NoiseSchedule.harmonic(c, 1.0 if d is None else d)
+        return NoiseSchedule(Family.HARMONIC, c, 1.0 if d is None else d, phi)
     if family == "geometric":
-        return NoiseSchedule.geometric(c, 0.5 if phi is None else phi)
+        return NoiseSchedule(Family.GEOMETRIC, c, d, 0.5 if phi is None else phi)
     raise ConfigError(f"unknown family {family!r} (expected harmonic or geometric)")
 
 
@@ -292,29 +295,6 @@ def _run_audit(args) -> int:
     return 0 if result.observed <= result.epsilon + AUDIT_TOL else 1
 
 
-def _run_oracle(args) -> int:
-    failures = 0
-    for n in range(3, args.nmax + 1):
-        report = analysis.circulant_oracle(n)
-        status = "PASS" if report.holds else "FAIL"
-        print(f"CHECK circulant_n{n} {int(not report.holds)} 0 {status}")
-        failures += not report.holds
-    rng = np.random.default_rng(args.seed)
-    for trial in range(args.instances):
-        m = int(rng.integers(1, 4))
-        n = int(rng.integers(2, 6))
-        mats = [rng.normal(size=(n, n)) for _ in range(m)]
-        variances = [rng.uniform(0.1, 2.0, size=n) for _ in range(m)]
-        report = analysis.lemma1_check(mats, variances, samples=20_000, seed=args.seed + trial)
-        status = "PASS" if report.holds else "FAIL"
-        print(
-            f"CHECK lemma1_{trial} {_fmt(report.mc_trace)} "
-            f"{_fmt(report.bound + 3 * report.stderr)} {status}"
-        )
-        failures += not report.holds
-    return 1 if failures else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ringsum", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -355,12 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     trade.add_argument("--ga", type=float, default=1.0)
     trade.add_argument("--gp", type=float, default=1.0)
     trade.set_defaults(func=_run_tradeoff)
-
-    oracle = sub.add_parser("oracle", help="run the circulant and covariance-trace oracle suites")
-    oracle.add_argument("--nmax", type=int, default=16)
-    oracle.add_argument("--instances", type=int, default=20)
-    oracle.add_argument("--seed", type=int, default=0)
-    oracle.set_defaults(func=_run_oracle)
     return parser
 
 

@@ -23,7 +23,9 @@ import numpy as np
 
 from . import engine
 from .model import ProtocolConfig, RingSumError
-from .engine import RunResult, run_si, simulate  # noqa: F401 (run_si stays importable here)
+# run_si is imported only because perfbench/smoke.py asserts that the tracer
+# rebinds `metrics.run_si` too; the tracer itself checks only `engine`.
+from .engine import RunResult, run_si, simulate  # noqa: F401
 
 
 class WindowNotFullError(RingSumError, ValueError):

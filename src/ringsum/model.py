@@ -144,8 +144,9 @@ class Phase:
 class ProtocolConfig:
     """Full description of one protocol run.
 
-    `schedules` must be family-homogeneous: every closed-form bound in the
-    analysis module assumes a single schedule family across nodes.
+    `schedules`, with the schedule of each join that carries one, must be
+    family-homogeneous: every closed-form bound in the analysis module
+    assumes a single schedule family across nodes.
     """
 
     secrets: tuple[float, ...]
@@ -161,11 +162,12 @@ class ProtocolConfig:
             raise ConfigError(
                 f"{len(self.schedules)} schedules for {n} secrets; one per node required"
             )
-        joining = tuple(e.secret for e in self.events if isinstance(e, Join))
-        if not all(map(math.isfinite, (*self.secrets, *joining))):
-            raise ConfigError(f"secrets must be finite, got {(*self.secrets, *joining)}")
-        families = {s.family for s in self.schedules}
-        if len(families) > 1:
+        joins = [e for e in self.events if isinstance(e, Join)]
+        secrets = (*self.secrets, *(e.secret for e in joins))
+        if not all(map(math.isfinite, secrets)):
+            raise ConfigError(f"secrets must be finite, got {secrets}")
+        schedules = (*self.schedules, *(e.schedule for e in joins if e.schedule))
+        if len({s.family for s in schedules}) > 1:
             raise ConfigError("schedules must share a single family across nodes")
         if self.steps < 1:
             raise ConfigError(f"step count must be >= 1, got {self.steps}")
@@ -225,11 +227,3 @@ class ProtocolConfig:
         """Every node shares one schedule (the common case in practice)."""
         secrets = tuple(float(s) for s in secrets)
         return cls(secrets, (schedule,) * len(secrets), distribution, steps, rng_seed, tuple(events))
-
-    @property
-    def family(self) -> Family:
-        return self.schedules[0].family
-
-    @property
-    def total(self) -> float:
-        return math.fsum(self.secrets)

@@ -42,7 +42,7 @@ class TestScenarioLoading:
         name, protocol, config, extras = load_scenario(_write_scenario(tmp_path, BASIC))
         assert (name, protocol) == ("basic", "si")
         assert config.secrets == (1.0, 2.0, 3.0, 4.0)
-        assert config.family is Family.GEOMETRIC
+        assert config.schedules[0].family is Family.GEOMETRIC
         assert config.distribution is Distribution.LAPLACE
         assert config.steps == 40
         assert extras["trials"] == 5
@@ -109,6 +109,7 @@ INVALID_RUN_SETTINGS = {
     "ai_nan_horizon": (_ai("horizon = nan"), ()),
     "ai_with_events": (_ai("horizon = 5") + "\n[events]\nlist = leave 5 1\n", ()),
     "leave_to_a_ring_of_two": (RING_OF_TWO, ()),
+    "geometric_with_d": (BASIC.replace("phi = 0.5", "phi = 0.5\n    d = 5"), ()),
 }
 
 
@@ -315,6 +316,15 @@ class TestThinSubcommands:
         values = dict(line.split() for line in capsys.readouterr().out.splitlines())
         assert values == {"epsilon": "inf", "log_epsilon": "inf"}
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--family", "geometric", "--c", "1", "--d", "5", "--n", "3"],
+        ["budget", "--family", "harmonic", "--c", "1", "--phi", "0.5", "--delta", "1", "--K", "1"],
+    ], ids=["geometric-with-d", "harmonic-with-phi"])
+    def test_other_family_parameter_is_rejected(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--K", "0"), ("--samples", "0"), ("--samples", "-5"), ("--delta", "nan"),
@@ -360,12 +370,6 @@ class TestThinSubcommands:
         values = dict(line.split() for line in capsys.readouterr().out.splitlines())
         sol = solve_harmonic(TradeoffProblem(1, 1, 1, 3, 1.0, 2))
         assert float(values["c_star"]) == sol.c_star
-
-    def test_oracle_suite_passes(self, capsys):
-        assert main(["oracle", "--nmax", "8", "--instances", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert "circulant_n8" in out
 
     def test_unknown_subcommand_exits_with_usage(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -15,7 +15,7 @@ from ringsum import (
     run_ai,
     run_si,
 )
-from ringsum.analysis import shift_matrix
+from lemma_oracles import shift_matrix
 from stepping_engine import MembershipError, ProtocolRun, leave, si_step
 
 ZERO = NoiseSchedule.harmonic(0.0, 1.0)

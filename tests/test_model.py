@@ -125,15 +125,15 @@ class TestProtocolConfig:
             [1, 2, 3], NoiseSchedule.harmonic(1.0, 1.0), Distribution.GAUSSIAN, 10, 0
         )
         assert len(cfg.schedules) == 3
-        assert cfg.family is Family.HARMONIC
-        assert cfg.total == 6.0
+        assert {s.family for s in cfg.schedules} == {Family.HARMONIC}
+        assert cfg.phases()[0].target == 6.0
 
     def test_total_uses_compensated_summation(self):
         secrets = [0.1] * 10
         cfg = ProtocolConfig.uniform(
             secrets, NoiseSchedule.harmonic(1.0, 1.0), Distribution.GAUSSIAN, 1, 0
         )
-        assert cfg.total == math.fsum(secrets)
+        assert cfg.phases()[0].target == math.fsum(secrets)
 
     def test_mixed_families_rejected(self):
         with pytest.raises(ConfigError):
@@ -148,6 +148,12 @@ class TestProtocolConfig:
                 10,
                 0,
             )
+
+    def test_join_schedule_of_another_family_rejected(self):
+        # The joiner's schedule would mix families in the last phase.
+        with pytest.raises(ConfigError, match="single family"):
+            ProtocolConfig.uniform([1, 2, 3], NoiseSchedule.harmonic(1, 1), Distribution.LAPLACE, 20,
+                                   0, [Join(5, 4, 1, 1.0, schedule=NoiseSchedule.geometric(1, 0.5))])
 
     def test_event_outside_horizon_rejected(self):
         with pytest.raises(ConfigError):
