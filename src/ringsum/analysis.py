@@ -186,12 +186,10 @@ def epsilon_total(
 @dataclass
 class AuditResult:
     observed: float            # sum over steps of the per-step observed max log ratio
-    per_step: list[float]
     epsilon: float             # closed-form budget for the audited K (start-shifted if applied)
     noise_floor: float         # rough scale of pure estimation noise in `observed`
     bins_used: int
     bins_skipped: int
-    samples: int
 
 
 # Trials per `simulate` call of the audit. Each round then draws one noise
@@ -303,10 +301,8 @@ def dp_audit(config: ProtocolConfig, delta: float, K: int, samples: int) -> Audi
     z = math.sqrt(2.0 * math.log(max(bins_used, 2)))
     return AuditResult(
         observed=math.fsum(per_step),
-        per_step=per_step,
         epsilon=epsilon,
         noise_floor=z * math.fsum(floors),
         bins_used=bins_used,
         bins_skipped=bins_skipped,
-        samples=samples,
     )

@@ -86,11 +86,12 @@ def _parse_events(text: str):
 
 
 def load_scenario(path: str | Path, seed_override: int | None = None, trials_override: int | None = None):
-    """Parse a scenario file into (name, protocol, ProtocolConfig, extras)."""
+    """Parse a scenario file into (name, protocol, ProtocolConfig, extras);
+    every error is a ConfigError that starts with the file's path."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         if not parser.read(path, encoding="utf-8"):
-            raise ConfigError(f"cannot read config file {path}")
+            raise ConfigError("cannot read config file")
         sc = parser["scenario"]
         name = sc.get("name", Path(path).stem)
         protocol = sc.get("protocol", "si").lower()
@@ -127,8 +128,6 @@ def load_scenario(path: str | Path, seed_override: int | None = None, trials_ove
             engine.check_poisson(config, rate, horizon)
         return name, protocol, config, {"trials": trials, "rate": rate, "horizon": horizon}
     except (configparser.Error, KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, RingSumError):
-            raise
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -157,16 +156,13 @@ def _trajectory_blocks(run, parts):
     full window, then the rows with one. A join step is listed in both of
     its phases, with a window only in the one it ends (the next phase has
     another order and has not filled a window yet)."""
-    windows = {(int(p.k_start[0]), p.order): p.y.ravel() for p in parts}
-    for phase, mat in run.phases:
-        n = phase.n
+    for (phase, mat), part in zip(run.phases, parts, strict=True):
+        n, y = phase.n, part.y.ravel()
         k = np.repeat(np.arange(phase.start_k, phase.start_k + len(mat)), n)
         cols = (k, np.tile(phase.order, len(mat)), mat.ravel())
         cut = min(n - 1, len(mat)) * n
         yield tuple(c[:cut] for c in cols)
-        y = windows.get((phase.start_k, phase.order))
-        if y is not None:
-            yield (*(c[cut:] for c in cols), y, k[cut:] - (n - 1), np.abs(y - phase.target))
+        yield (*(c[cut:] for c in cols), y, k[cut:] - (n - 1), np.abs(y - phase.target))
 
 
 def _write_trajectories(path: Path, run, parts) -> None:
@@ -200,34 +196,29 @@ def _run_simulate(args) -> int:
                           f"seed {config.rng_seed}", f"trials {trials}"]
 
     if protocol == "ai":
-        run = engine.run_ai(config, extras["rate"], extras["horizon"], record_trace=False)
+        run = engine.run_ai(config, extras["rate"], extras["horizon"])
     else:
-        run = engine.run_si(config, record_trace=False)
+        run = engine.run_si(config)
     parts = metrics.window_sums(run)
     _write_trajectories(out_dir / "trajectories.csv", run, parts)
-    ks, errs = metrics.error_series(run, parts)
     agg = metrics.aggregate_trials(config, trials) if protocol == "si" and trials >= 2 else None
     if agg is not None:
         _write_errors(out_dir / "errors.csv", agg)
     else:
-        _write_single_errors(out_dir / "errors.csv", ks, errs)
+        _write_single_errors(out_dir / "errors.csv", *metrics.error_series(run, parts))
     summary.append(_check_line("conservation", run.max_rel_drift, CONSERVATION_TOL))
 
     if protocol == "si":
-        # (error, stderr) at each phase's last step, where its window is full:
-        # of the Monte Carlo batch if there is one, else of the single run,
-        # whose stderr is 0. Only those steps: a dict over every step of
-        # example2 raised its peak RSS by 1.3 MB.
-        cols = ((ks, errs, np.zeros_like(errs)) if agg is None
-                else (agg.ks, agg.mean_abs_error, agg.mae_stderr))
-        ends = np.isin(cols[0], [phase.stop_k for phase, _ in run.phases])
-        utility = {k: (err, se) for k, err, se in zip(*(c[ends].tolist() for c in cols))}
-        for i, (phase, _) in enumerate(run.phases, 1):
+        for i, ((phase, _), part) in enumerate(zip(run.phases, parts), 1):
             summary.append(
                 f"PHASE {i} start_k {phase.start_k} members {phase.n} target {_fmt(phase.target)}"
             )
-            if phase.stop_k in utility:
-                empirical, se = utility[phase.stop_k]
+            # The error at the phase's last window, which ends at its last
+            # step: of the Monte Carlo batch if there is one, else of the
+            # single run, whose stderr is 0.
+            if len(part.k_end):
+                empirical, se = ((part.sum_abs_error()[-1], 0.0) if agg is None
+                                 else agg.at(phase.stop_k)[:2])
                 summary.append(f"UTILITY phase {i} empirical {_fmt(empirical)} stderr {_fmt(se)}")
                 bound = analysis.utility_bound(sched_agg, phase.n)
                 summary.append(_check_line(f"utility_phase{i}", empirical, bound))

@@ -10,9 +10,9 @@ pure function of (seed, node, k, trial), so `simulate` advances all trials
 as one (trials, n) state, phase by phase. It only stores the states, in
 whole-phase buffers or in shorter ones that it hands back chunk by chunk,
 and hands each round's messages to a callback; its views are `run_si` (one
-trial), the streamed Monte Carlo windows in `metrics` and the DP audit's
-message traces in `analysis`. `_drift` folds the member-sum drift for the
-views that report it.
+trial's states), the streamed Monte Carlo windows in `metrics` and the DP
+audit's message traces in `analysis`, the one reader of the messages.
+`_drift` folds the member-sum drift for the views that report it.
 
 The Poisson-clock variant `run_ai` draws each node's clock gaps and betas in
 one block per node and merges the ticks by (time, node id); only the
@@ -97,7 +97,7 @@ def _drift(phases, states) -> float:
 
 
 def simulate(config: ProtocolConfig, trials: int, states, first_trial: int = 0,
-             source: NoiseSource | None = None, record=None, flush=None) -> None:
+             record=None, flush=None) -> None:
     """Run trials first_trial .. first_trial + trials - 1 of `config` together.
 
     `states` yields one buffer per phase of `config.phases()`, in whatever
@@ -111,8 +111,8 @@ def simulate(config: ProtocolConfig, trials: int, states, first_trial: int = 0,
     round's delivered messages, d of shape (trials, len(senders)).
     """
     phases = config.phases()
-    source, record = source or NoiseSource(config.rng_seed), record or (lambda *_: None)
-    flush = flush or (lambda *_: None)
+    source = NoiseSource(config.rng_seed)
+    record, flush = record or (lambda *_: None), flush or (lambda *_: None)
     trial_ids = np.arange(first_trial, first_trial + trials, dtype=np.uint64)[:, None]
     x = np.asarray(phases[0].secrets, dtype=np.float64)
     for p, (phase, out) in enumerate(zip(phases, states, strict=True)):
@@ -160,18 +160,15 @@ class RunResult:
     """One trial of a run: each phase with its read-only (steps, n) states.
 
     In `phases`, states[t] is the state at step phase.start_k + t, aligned
-    with phase.order. `trace` holds the delivered messages (k, node, d) if
-    they were recorded; `tick_counts` each node's ticks (run_ai only).
-    `start_shift_applied` is set when a member that draws at k = 0 (on its
-    first tick, for run_ai) has a harmonic schedule with d = 0.
+    with phase.order. `start_shift_applied` is set when a member that draws
+    at k = 0 (on its first tick, for run_ai) has a harmonic schedule with
+    d = 0.
     """
 
     phases: tuple[tuple[Phase, np.ndarray], ...]
     max_rel_drift: float
     start_shift_applied: bool
     k: int
-    trace: tuple[tuple[int, int, float], ...] | None = None
-    tick_counts: dict[int, int] | None = None
 
     @property
     def x(self) -> np.ndarray:
@@ -186,25 +183,17 @@ class RunResult:
         return self.phases[-1][0].target
 
 
-def run_si(config: ProtocolConfig, trial: int = 0, record_trace: bool = True,
-           source: NoiseSource | None = None) -> RunResult:
+def run_si(config: ProtocolConfig, trial: int = 0) -> RunResult:
     """Execute K synchronous rounds with membership events at their times:
     trial `trial` of `simulate`."""
     phases = config.phases()
     storage = [np.empty((p.stop_k - p.start_k + 1, p.n)) for p in phases]
-    trace = []
-
-    def record(k, nodes, d):
-        trace.extend((k, node, float(v)) for node, v in zip(nodes, d[0]))
-
-    simulate(config, 1, [s[:, None] for s in storage], trial, source,
-             record if record_trace else None)
+    simulate(config, 1, [s[:, None] for s in storage], trial)
     # Round 0 is played by the first phase with a round; those before it end
     # in a join at k = 0.
     first = next(p for p in phases if p.stop_k > 0 or p.leaver is not None)
     return RunResult(tuple(zip(phases, map(_frozen, storage))), _drift(phases, storage),
-                     any(s.start_shifted for s in first.schedules), config.steps,
-                     tuple(trace) if record_trace else None)
+                     any(s.start_shifted for s in first.schedules), config.steps)
 
 
 # -- asynchronous variant ---------------------------------------------------
@@ -249,7 +238,6 @@ def run_ai(
     rate: float,
     horizon: float,
     trial: int = 0,
-    record_trace: bool = True,
     tick_order=None,
 ) -> RunResult:
     """Poisson-clock execution until the time horizon.
@@ -275,11 +263,11 @@ def run_ai(
         raise ConfigError(f"tick_order names nodes that are not members: {sorted(strangers)}")
     pos = {node: j for j, node in enumerate(nodes)}
     js = np.array([pos[node] for node in tick_order], dtype=np.intp)
-    betas, tick_counts = np.empty(len(js)), {}
+    betas, counts = np.empty(len(js)), []
     for j, (node, s) in enumerate(zip(nodes, phase.schedules)):
         mine = js == j
-        m = tick_counts[node] = int(mine.sum())
-        ks = np.arange(m, dtype=np.uint64)
+        counts.append(int(mine.sum()))
+        ks = np.arange(counts[-1], dtype=np.uint64)
         betas[mine] = source.sample(node, ks, trial, s.scale(ks), config.distribution)
 
     x, succ = np.asarray(phase.secrets, dtype=np.float64).tolist(), [*range(1, n), 0]
@@ -289,11 +277,6 @@ def run_ai(
         x[succ[j]] += x[j] - beta
         x[j] = beta
         states[i] = x
-    trace = None
-    if record_trace:  # each message again, from the state the tick started in
-        d = states[np.arange(len(js)), js] - betas
-        trace = tuple(zip(range(len(js)), [nodes[j] for j in js.tolist()], d.tolist()))
-    shifted = any(s.start_shifted for s, node in zip(phase.schedules, nodes) if tick_counts[node])
+    shifted = any(s.start_shifted for s, m in zip(phase.schedules, counts) if m)
     return RunResult(((replace(phase, stop_k=len(js)), _frozen(states)),),
-                     _drift((phase,), (states,)), shifted, len(js), trace,
-                     tick_counts)
+                     _drift((phase,), (states,)), shifted, len(js))

@@ -12,7 +12,8 @@ phase (trials-major with membership events, step-major without), the window
 sums are formed in place there, carrying the last cumulative sums from chunk
 to chunk, and each chunk is reduced over trials before the next overwrites
 it. Memory does not grow with the number of steps. A single run's states are
-read-only, so its window sums work on a copy.
+read-only, so its window sums work on a copy; `window_sums` returns one
+series per phase of the run, empty for a phase of fewer than n states.
 """
 from __future__ import annotations
 
@@ -40,10 +41,6 @@ class PhaseWindows:
     target: float
     k_end: np.ndarray  # window end step, per row of y
     y: np.ndarray      # shape (len(k_end), len(order))
-
-    @property
-    def k_start(self) -> np.ndarray:
-        return self.k_end - (len(self.order) - 1)
 
     def sum_abs_error(self) -> np.ndarray:
         return np.abs(self.y - self.target).sum(axis=1)
@@ -73,39 +70,29 @@ def _window_rows(rows: np.ndarray, n: int, carry: np.ndarray | None = None) -> n
     return after
 
 
-def _windows(stretches) -> list[PhaseWindows]:
-    """Full-window estimates of each (start_k, order, target, states) stretch;
-    the step-indexed `states` (steps, ..., n) become the window sums in place."""
-    out = []
-    for start_k, order, target, states in stretches:
-        n = len(order)
-        if len(states) < n:
-            continue
-        _window_rows(states, n)
-        k_end = start_k + np.arange(n - 1, len(states))
-        out.append(PhaseWindows(order, target, k_end, np.moveaxis(states[n - 1 :], 0, -2)))
-    return out
-
-
 def window_sums(run: RunResult) -> list[PhaseWindows]:
-    """Per-phase estimator series of a completed run."""
-    return _windows((p.start_k, p.order, p.target, states.copy()) for p, states in run.phases)
+    """The estimator series of each phase of a completed run, in the order of
+    `run.phases`; a phase of fewer than n states has an empty one."""
+    out = []
+    for phase, states in run.phases:
+        n, y = phase.n, states.copy()
+        if len(y) >= n:
+            _window_rows(y, n)
+        out.append(PhaseWindows(phase.order, phase.target,
+                                phase.start_k + np.arange(n - 1, len(y)), y[n - 1 :]))
+    return out
 
 
 def estimator(run: RunResult, node: int, k: int) -> float:
     """Window sum of `node`'s states ending at step k (window length n)."""
-    for phase, states in run.phases:
+    for (phase, states), part in zip(run.phases, window_sums(run)):
         offset = k - phase.start_k
         if node in phase.order and 0 <= offset < len(states):
             if offset < phase.n - 1:
                 raise WindowNotFullError(
                     f"node {node} has only {offset + 1} states at k={k}, needs {phase.n}"
                 )
-            # Cumulative sums run row by row, so the last window over the
-            # states up to k has the same bits as in `window_sums`.
-            upto_k = states[: offset + 1].copy()
-            (part,) = _windows([(phase.start_k, phase.order, phase.target, upto_k)])
-            return float(part.y[-1, phase.order.index(node)])
+            return float(part.y[offset - (phase.n - 1), phase.order.index(node)])
     raise WindowNotFullError(f"no recorded window for node {node} ending at k={k}")
 
 
@@ -114,11 +101,8 @@ def error_series(run: RunResult, parts: list[PhaseWindows] | None = None
     """(k_end, sum_i |y_i - target|) across all phases of one run; `parts`
     are the run's window sums if already computed."""
     parts = window_sums(run) if parts is None else parts
-    if not parts:
-        return np.array([], dtype=int), np.array([])
-    ks = np.concatenate([p.k_end for p in parts])
-    errs = np.concatenate([p.sum_abs_error() for p in parts])
-    return ks, errs
+    return (np.concatenate([p.k_end for p in parts]),
+            np.concatenate([p.sum_abs_error() for p in parts]))
 
 
 # -- Monte Carlo aggregation ------------------------------------------------

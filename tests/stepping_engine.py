@@ -6,7 +6,8 @@ chooses. It was the package's stepping API until `engine.simulate` became its
 only synchronous engine, and it is kept here verbatim, except that a run
 starts from a plain list of nodes in ring order, so that `test_kernel.py` and
 `test_async_engine.py` can check the batched kernel and the block-drawn
-Poisson-clock engine against it bit for bit.
+Poisson-clock engine against it bit for bit. `kernel_trace` collects the
+kernel's messages in the form of `ProtocolRun.trace`.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ringsum.engine import _round, noise_block
+from ringsum.engine import _round, noise_block, simulate
 from ringsum.model import Distribution, Family, NoiseSchedule, ProtocolConfig, RingSumError
 from ringsum.noise import NoiseSource
 
@@ -190,3 +191,16 @@ def join(
     run.target = math.fsum(run.secrets[i] for i in run.order)
     run._open_segment()
     return run
+
+
+def kernel_trace(config: ProtocolConfig, trial: int = 0) -> list[tuple[int, int, float]]:
+    """The (k, node, d) messages that `engine.simulate` delivers in trial
+    `trial` of `config`, in the order `ProtocolRun.trace` lists them."""
+    trace = []
+
+    def record(k, nodes, d):
+        trace.extend((k, node, float(v)) for node, v in zip(nodes, d[0]))
+
+    simulate(config, 1, [np.empty((p.stop_k - p.start_k + 1, 1, p.n)) for p in config.phases()],
+             trial, record=record)
+    return trace

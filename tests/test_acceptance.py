@@ -90,7 +90,7 @@ def test_acceptance_1_sum_conservation():
                 Join(t_join, victim, anchor, float(rng.uniform(-100, 100))),
             )
         cfg = ProtocolConfig.uniform(secrets, schedule, dist, 500, int(rng.integers(2**31)), events)
-        run = run_si(cfg, record_trace=False)
+        run = run_si(cfg)
         worst = max(worst, run.max_rel_drift)
     elapsed = time.perf_counter() - start
     _verdict(1, "sum-conservation", worst <= 1e-10 and elapsed < 30.0)
@@ -104,7 +104,7 @@ def test_acceptance_2_three_phase_reference_run():
     trials = extras["trials"]
     assert trials >= 100
 
-    run = run_si(config, record_trace=False)
+    run = run_si(config)
     targets = [phase.target for phase, _ in run.phases]
     # The published secrets actually sum to 499.9999; "500" is their rounding.
     stated = [500.0, 400.0, 500.0]
@@ -288,7 +288,7 @@ def test_acceptance_8_structural_oracles():
         schedule = NoiseSchedule.harmonic(rng.uniform(0.5, 5.0), 1.0)
         secrets = rng.uniform(-10.0, 10.0, size=n)
         cfg = ProtocolConfig.uniform(secrets, schedule, Distribution.GAUSSIAN, 100, seed)
-        run = run_si(cfg, record_trace=False)
+        run = run_si(cfg)
         a = shift_matrix(n)
         eye = np.eye(n)
         src = NoiseSource(seed)

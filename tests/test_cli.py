@@ -145,6 +145,20 @@ class TestConfigErrorsBeforeOutput:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("body", [
+        BASIC.replace("family = geometric", "family = harmonic"),
+        RING_OF_TWO,
+        _ai("horizon = 5") + "\n[events]\nlist = leave 5 1\n",
+        None,
+    ], ids=["harmonic-with-phi", "leave-to-a-ring-of-two", "ai-with-events", "missing-file"])
+    def test_every_scenario_error_names_the_file_once(self, tmp_path, monkeypatch, capsys, body):
+        path = tmp_path / "nope.cfg" if body is None else _write_scenario(tmp_path, body)
+        monkeypatch.setenv("RINGSUM_OUT", str(tmp_path / "out"))
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count(str(path)) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_valid_poisson_settings_load(self, tmp_path):
         _, protocol, _, extras = load_scenario(_write_scenario(tmp_path, _ai("horizon = 5", "rate = 2.5")))
         assert protocol == "ai"
@@ -258,6 +272,23 @@ class TestSimulateCommand:
         summary = (out_dir / "summary.txt").read_text()
         assert "PHASE 1 start_k 0 members 3" in summary
         assert "UTILITY" not in summary and "FAIL" not in summary
+
+    @pytest.mark.parametrize("trials", [1, 20])
+    @pytest.mark.parametrize("second", ["join 10 5 2 1000.0", "leave 10 2"],
+                             ids=["two-joins", "join-and-leave"])
+    def test_phase_without_a_full_window_has_no_utility_line(
+            self, tmp_path, monkeypatch, trials, second):
+        # Both events at k = 10 leave phase 2 a single state on four members:
+        # it has no window, so no error of its own to check.
+        monkeypatch.setenv("RINGSUM_OUT", str(tmp_path / "out"))
+        body = BASIC.replace("steps = 40", "steps = 30").replace("1.0 2.0 3.0 4.0", "1.0 2.0 3.0")
+        body += f"\n[events]\nlist =\n    join 10 4 1 100.0\n    {second}\n"
+        cfg = _write_scenario(tmp_path, body)
+        assert main(["simulate", "--config", str(cfg), "--trials", str(trials)]) == 0
+        summary = (tmp_path / "out" / "basic" / "summary.txt").read_text()
+        assert "PHASE 2 start_k 10 members 4" in summary
+        assert "UTILITY phase 1 " in summary and "UTILITY phase 3 " in summary
+        assert "UTILITY phase 2 " not in summary and "utility_phase2" not in summary
 
     def test_harmonic_d_zero_reports_the_start_shifted_budget(self, tmp_path, monkeypatch, capsys):
         # The run draws its k = 0 noise at the d = 1 scale, so the budget it

@@ -15,6 +15,7 @@ from ringsum import (
     aggregate_trials,
     estimator,
     error_series,
+    run_ai,
     run_si,
     trial_mean_estimates,
     window_sums,
@@ -42,7 +43,20 @@ class TestWindows:
         (part,) = window_sums(run)
         assert part.k_end[0] == 3  # first full window uses states 0..3
         assert part.k_end[-1] == 10
-        assert np.all(part.k_start == part.k_end - 3)
+
+    def test_one_series_per_phase_and_an_empty_one_for_a_phase_shorter_than_n(self):
+        # Two joins at k = 10 leave a phase of one state on four members; two
+        # states of a Poisson run on three members fill no window either.
+        si = run_si(_config([1.0, 2.0, 3.0], steps=30,
+                            events=(Join(10, 4, 1, 100.0), Join(10, 5, 2, 1000.0))))
+        ai = run_ai(_config([1.0, 2.0, 3.0], steps=1), 1.0, 1.0, tick_order=[1])
+        for run, short in ((si, [False, True, False]), (ai, [True])):
+            parts = window_sums(run)
+            assert len(parts) == len(run.phases)
+            for (phase, states), part, empty in zip(run.phases, parts, short, strict=True):
+                assert part.order == phase.order and part.target == phase.target
+                assert len(part.k_end) == (0 if empty else len(states) - phase.n + 1)
+                assert part.y.shape == (len(part.k_end), phase.n)
 
     def test_estimator_matches_brute_force_column_sum(self):
         run = run_si(_config([1.0, 2.0, 3.0, 4.0], steps=12, seed=5))
@@ -97,7 +111,7 @@ class TestDensePath:
         simulate(cfg, 3, [states])
         assert _drift(cfg.phases(), [states]) <= 1e-12
         for t in range(3):
-            run = run_si(cfg, trial=t, record_trace=False)
+            run = run_si(cfg, trial=t)
             assert np.array_equal(run.phases[0][1], states[:, t, :])
 
     @pytest.mark.parametrize("events", [(), (Leave(9, 4), Join(20, 4, anchor=1, secret=9.0))])
@@ -114,7 +128,7 @@ class TestDensePath:
             metrics._stream(cfg, 4, take)
         assert len(streamed) > 2 * len(cfg.phases())
         for t in range(4):
-            for single in window_sums(run_si(cfg, trial=t, record_trace=False)):
+            for single in window_sums(run_si(cfg, trial=t)):
                 start_k = single.k_end[0] - len(single.order) + 1
                 mine = [(k, y[t]) for start, k, y in streamed if start == start_k]
                 assert np.array_equal(np.concatenate([k for k, _ in mine]), single.k_end)

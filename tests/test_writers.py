@@ -160,7 +160,7 @@ PHASE_SHORTER_THAN_N = _config(5, 12, (Join(4, 6, 1, 3.0), Leave(6, 2)))
 @example(config=LEAVE_IN_LAST_ROUND, trials=3)
 @example(config=PHASE_SHORTER_THAN_N, trials=2)
 def test_writers_match_row_by_row_oracle_under_churn(config, trials):
-    assert_run_writers_match(run_si(config, record_trace=False))
+    assert_run_writers_match(run_si(config))
     if any(p.stop_k - p.start_k + 1 >= p.n for p in config.phases()):
         agg = aggregate_trials(config, trials)
         assert _bytes(cli._write_errors, agg) == _bytes(oracle_errors, agg)
@@ -176,7 +176,7 @@ def test_writers_match_row_by_row_oracle_under_churn(config, trials):
 )
 def test_writers_match_row_by_row_oracle_on_poisson_runs(secrets, schedule, rate, horizon, seed):
     config = ProtocolConfig.uniform(secrets, schedule, Distribution.LAPLACE, 1, seed)
-    assert_run_writers_match(run_ai(config, rate, horizon, record_trace=False))
+    assert_run_writers_match(run_ai(config, rate, horizon))
 
 
 SPECIAL = st.one_of(
@@ -188,7 +188,7 @@ SPECIAL = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_writers_match_oracle_on_non_finite_and_signed_zero_values(data):
-    run = run_si(PHASE_SHORTER_THAN_N, record_trace=False)
+    run = run_si(PHASE_SHORTER_THAN_N)
     phases = []
     for phase, states in run.phases:
         # A phase's target is the sum of its secrets: let one secret carry it.
