@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, engine, metrics, tradeoff
+from . import analysis, csvtext, engine, metrics, tradeoff
 from .model import (
     ConfigError,
     Distribution,
@@ -126,6 +126,8 @@ def load_scenario(path: str | Path, seed_override: int | None = None, trials_ove
         config = ProtocolConfig.uniform(secrets, schedule, distribution, steps, seed, events)
         if protocol == "ai":
             engine.check_poisson(config, rate, horizon)
+            if trials != 1:
+                raise ConfigError(f"protocol ai runs one trial, got trials = {trials}")
         return name, protocol, config, {"trials": trials, "rate": rate, "horizon": horizon}
     except (configparser.Error, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -133,36 +135,45 @@ def load_scenario(path: str | Path, seed_override: int | None = None, trials_ove
 
 # -- artifact writers ----------------------------------------------------------
 
-_BLOCK_ROWS = 2048  # rows formatted at once, so the strings held stay small
-
-
 def _write_csv(path: Path, header: str, blocks) -> None:
     """Write the header, then each block of columns: row i holds element i
-    of every column, and blank fields for the header's columns past them.
-    Values go through repr (shortest round trip for floats) and rows end in
-    CRLF, the bytes csv.writer gives (no field here needs quoting)."""
+    of every column, and blank fields for the header's columns past them,
+    in the bytes csv.writer gives for repr's text (see `csvtext`)."""
     fields = header.count(",") + 1
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\r\n")
         for cols in blocks:
-            end = "," * (fields - len(cols)) + "\r\n"
-            for i in range(0, len(cols[0]), _BLOCK_ROWS):
-                strs = (map(repr, c[i : i + _BLOCK_ROWS].tolist()) for c in cols)
-                fh.write(end.join(map(",".join, zip(*strs))) + end)
+            for i in range(0, len(cols[0]), csvtext.BLOCK_ROWS):
+                fh.write(csvtext.block([c[i : i + csvtext.BLOCK_ROWS] for c in cols], fields))
 
 
 def _trajectory_blocks(run, parts):
-    """Columns of trajectories.csv: per phase, the rows before its first
-    full window, then the rows with one. A join step is listed in both of
-    its phases, with a window only in the one it ends (the next phase has
-    another order and has not filled a window yet)."""
+    """Columns of trajectories.csv, at most one block of rows at a time: per
+    phase, the rows before its first full window, then the rows with one. A
+    join step is listed in both of its phases, with a window only in the one
+    it ends (the next phase has another order and has not filled a window
+    yet)."""
     for (phase, mat), part in zip(run.phases, parts, strict=True):
-        n, y = phase.n, part.y.ravel()
-        k = np.repeat(np.arange(phase.start_k, phase.start_k + len(mat)), n)
-        cols = (k, np.tile(phase.order, len(mat)), mat.ravel())
-        cut = min(n - 1, len(mat)) * n
-        yield tuple(c[:cut] for c in cols)
-        yield (*(c[cut:] for c in cols), y, k[cut:] - (n - 1), np.abs(y - phase.target))
+        n, first = phase.n, min(phase.n - 1, len(mat))  # states before the first window
+        step = max(1, csvtext.BLOCK_ROWS // n)
+        for lo in [*range(0, first, step), *range(first, len(mat), step)]:
+            hi = min(lo + step, first if lo < first else len(mat))
+            k = np.repeat(np.arange(phase.start_k + lo, phase.start_k + hi), n)
+            cols = (k, np.tile(phase.order, hi - lo), mat[lo:hi].ravel())
+            if lo < first:
+                yield cols
+            else:
+                y = part.y[lo - first : hi - first].ravel()
+                yield (*cols, y, k - (n - 1), np.abs(y - phase.target))
+
+
+def _write(path: Path, write, *args) -> None:
+    """write(path, *args), with an OSError turned into an error that names
+    the path."""
+    try:
+        write(path, *args)
+    except OSError as exc:
+        raise RingSumError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _write_trajectories(path: Path, run, parts) -> None:
@@ -191,7 +202,7 @@ def _run_simulate(args) -> int:
     if protocol == "si" and config.distribution is Distribution.LAPLACE:  # checks --delta first
         budget = analysis.epsilon_total(sched_agg, args.delta, config.steps, config.distribution)
     out_dir = out_root / name
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _write(out_dir, lambda path: path.mkdir(parents=True, exist_ok=True))
     summary: list[str] = [f"scenario {name}", f"protocol {protocol}",
                           f"seed {config.rng_seed}", f"trials {trials}"]
 
@@ -200,12 +211,12 @@ def _run_simulate(args) -> int:
     else:
         run = engine.run_si(config)
     parts = metrics.window_sums(run)
-    _write_trajectories(out_dir / "trajectories.csv", run, parts)
-    agg = metrics.aggregate_trials(config, trials) if protocol == "si" and trials >= 2 else None
+    _write(out_dir / "trajectories.csv", _write_trajectories, run, parts)
+    agg = metrics.aggregate_trials(config, trials) if trials >= 2 else None
     if agg is not None:
-        _write_errors(out_dir / "errors.csv", agg)
+        _write(out_dir / "errors.csv", _write_errors, agg)
     else:
-        _write_single_errors(out_dir / "errors.csv", *metrics.error_series(run, parts))
+        _write(out_dir / "errors.csv", _write_single_errors, *metrics.error_series(run, parts))
     summary.append(_check_line("conservation", run.max_rel_drift, CONSERVATION_TOL))
 
     if protocol == "si":
@@ -233,7 +244,7 @@ def _run_simulate(args) -> int:
                 "guarantee proven for laplace only)"
             )
 
-    (out_dir / "summary.txt").write_text("\n".join(summary) + "\n")
+    _write(out_dir / "summary.txt", Path.write_text, "\n".join(summary) + "\n")
     print(f"wrote {out_dir}/trajectories.csv, errors.csv, summary.txt")
     return 1 if any(line.endswith("FAIL") for line in summary) else 0
 

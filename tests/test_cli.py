@@ -85,7 +85,7 @@ MALFORMED = {
     "not_utf8": b"[scenario]\nname = caf\xe9\nsteps = 10\n",
 }
 
-AI = BASIC.replace("protocol = si", "protocol = ai")
+AI = BASIC.replace("protocol = si", "protocol = ai").replace("trials = 5", "trials = 1")
 
 
 def _ai(*lines):
@@ -108,6 +108,8 @@ INVALID_RUN_SETTINGS = {
     "ai_nan_rate": (_ai("horizon = 5", "rate = nan"), ()),
     "ai_nan_horizon": (_ai("horizon = nan"), ()),
     "ai_with_events": (_ai("horizon = 5") + "\n[events]\nlist = leave 5 1\n", ()),
+    "ai_with_trials": (_ai("horizon = 5").replace("trials = 1", "trials = 50"), ()),
+    "ai_trials_override": (_ai("horizon = 5"), ("--trials", "2")),
     "leave_to_a_ring_of_two": (RING_OF_TWO, ()),
     "geometric_with_d": (BASIC.replace("phi = 0.5", "phi = 0.5\n    d = 5"), ()),
 }
@@ -163,6 +165,30 @@ class TestConfigErrorsBeforeOutput:
         _, protocol, _, extras = load_scenario(_write_scenario(tmp_path, _ai("horizon = 5", "rate = 2.5")))
         assert protocol == "ai"
         assert (extras["rate"], extras["horizon"]) == (2.5, 5.0)
+
+
+class TestOutputErrors:
+    """An output that cannot be written is an `error:` line and status 2,
+    not a traceback and the FAIL status 1."""
+
+    @pytest.mark.parametrize("via", ["RINGSUM_OUT", "--out"])
+    def test_output_root_that_is_a_file(self, tmp_path, monkeypatch, capsys, via):
+        root = tmp_path / "file"
+        root.write_text("")
+        monkeypatch.delenv("RINGSUM_OUT", raising=False)
+        extra = ["--out", str(root)]
+        if via == "RINGSUM_OUT":
+            monkeypatch.setenv("RINGSUM_OUT", str(root))
+            extra = []
+        assert main(["simulate", "--config", str(_write_scenario(tmp_path, BASIC)), *extra]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {root / 'basic'}: ")
+
+    def test_artifact_that_cannot_be_written(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RINGSUM_OUT", str(tmp_path / "out"))
+        blocked = tmp_path / "out" / "basic" / "errors.csv"
+        blocked.mkdir(parents=True)
+        assert main(["simulate", "--config", str(_write_scenario(tmp_path, BASIC))]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {blocked}: ")
 
 
 EXAMPLE_LINES = (SCENARIOS / "example2.cfg").read_text().splitlines()
