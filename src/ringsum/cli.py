@@ -1,9 +1,12 @@
 """Configuration-driven experiment runner and thin command-line adapters.
 
 Scenario files are flat INI sections (see scenarios/example2.cfg for the
-grammar). All CSV output is long-format with a header row, '.' decimals and
-shortest round-trip float formatting, so identical (config, seed) invocations
-produce byte-identical artifacts.
+grammar). All CSV output is long-format with a header row, in the bytes
+csv.writer gives for repr's text: '.' decimals, shortest round-trip floats,
+exponent form below 1e-4 and from 1e16. `csvtext` writes it a block of
+columns at a time. Identical (config, seed) invocations produce
+byte-identical artifacts. A scenario that is invalid, or an output that
+cannot be written, is an error line and exit status 2.
 """
 from __future__ import annotations
 

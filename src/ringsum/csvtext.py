@@ -47,7 +47,7 @@ def _mul128(a, b):
     return a1, (b0 << _U(32)) | (a0 & _M32)
 
 
-def shortest(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _shortest(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(d, e): d * 10^e is the shortest decimal that rounds to a, the nearest
     to a of those, for 1e-4 <= a < 1e16. d may end in zeros."""
     c = a.view(_U) & _U((1 << 52) - 1)
@@ -129,7 +129,7 @@ def _floats(x: np.ndarray) -> _Cells:
     a = np.abs(x)
     fixed = (a >= 1e-4) & (a < 1e16)
     a[~fixed] = 1.0
-    d, e = shortest(a)
+    d, e = _shortest(a)
     z = np.flatnonzero(d % _U(10) == _U(0))  # strip trailing zeros
     dz, ez = d[z], e[z]
     for p in (16, 8, 4, 2, 1):
