@@ -8,11 +8,12 @@ node updates, matching the compact dynamics x(k+1) = A x(k) + (I - A) beta(k).
 The dynamics act alike on every Monte Carlo trial and each noise draw is a
 pure function of (seed, node, k, trial), so `simulate` advances all trials
 as one (trials, n) state, phase by phase. It only stores the states, in
-whole-phase buffers or in shorter ones that it hands back chunk by chunk,
-and hands each round's messages to a callback; its views are `run_si` (one
-trial's states), the streamed Monte Carlo windows in `metrics` and the DP
-audit's message traces in `analysis`, the one reader of the messages.
-`_drift` folds the member-sum drift for the views that report it.
+whole-phase buffers or in shorter ones that it hands back chunk by chunk
+(drawing the next chunk's noise on a helper thread while the caller reduces
+the last one), and hands each round's messages to a callback; its views are
+`run_si` (one trial's states), the streamed Monte Carlo windows in `metrics`
+and the DP audit's message traces in `analysis`, the one reader of the
+messages. `_drift` folds the member-sum drift for the views that report it.
 
 The Poisson-clock variant `run_ai` draws each node's clock gaps and betas in
 one block per node and merges the ticks by (time, node id); only the
@@ -37,8 +38,10 @@ accounting mirrors.
 """
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -47,7 +50,9 @@ from .noise import NoiseSource
 
 # Noise values drawn per sampling call: bounds the betas buffer while
 # keeping a few hundred rounds per call at 1000 states. The noise source
-# cuts each call into cache-sized blocks for its threads.
+# cuts each call into cache-sized blocks for its threads. The Monte Carlo
+# buffers fill where a call's rounds end, so each call after the first is
+# made while the caller reduces the rounds of the one before.
 NOISE_CHUNK = 1 << 18
 
 
@@ -96,6 +101,23 @@ def _drift(phases, states) -> float:
     return max_drift
 
 
+def _beside(draw, work):
+    """draw(), made on a helper thread while this thread runs work().
+
+    The helper is no noise-pool worker, so the blocks it hands to the pool
+    never wait behind it, and it draws in a copy of this thread's context,
+    so numpy's error state holds there too. An error of work() is raised once
+    the draw has finished; one of the draw, after work() returns.
+    """
+    # Imported here, as in `noise`: a run that never overlaps never loads it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1, thread_name_prefix="ringsum-draw") as helper:
+        drawn = helper.submit(contextvars.copy_context().run, draw)
+        work()
+    return drawn.result()
+
+
 def simulate(config: ProtocolConfig, trials: int, states, first_trial: int = 0,
              record=None, flush=None) -> None:
     """Run trials first_trial .. first_trial + trials - 1 of `config` together.
@@ -107,8 +129,10 @@ def simulate(config: ProtocolConfig, trials: int, states, first_trial: int = 0,
     rows go to `flush(p, t, rows)`, rows[i] being phase p's state at step
     start_k + t + i, and the last of them becomes row 0 of the next chunk;
     the phase's last rows go to `flush` when it ends. `flush` may overwrite
-    the rows it is handed. `record(k, senders, d)`, if given, receives each
-    round's delivered messages, d of shape (trials, len(senders)).
+    the rows it is handed. If a buffer is full where a noise chunk starts,
+    that chunk is drawn beside the `flush` (see `_beside`); a draw's values
+    do not depend on when it runs. `record(k, senders, d)`, if given,
+    receives each round's delivered messages, d of shape (trials, len(senders)).
     """
     phases = config.phases()
     source = NoiseSource(config.rng_seed)
@@ -129,8 +153,17 @@ def simulate(config: ProtocolConfig, trials: int, states, first_trial: int = 0,
             # Drawn in the memory order of the caller's rows, so that the
             # hand-off's operands line up; one trial keeps the trial-major
             # draw, whatever the strides of its (1, n) rows.
-            betas = noise_block(source, config.distribution, phase.order, phase.schedules, ks,
-                                trial_ids, trials > 1 and out[0].strides[0] < out[0].strides[1])
+            draw = partial(noise_block, source, config.distribution, phase.order, phase.schedules,
+                           ks, trial_ids, trials > 1 and out[0].strides[0] < out[0].strides[1])
+            betas = None  # free the last chunk's noise before the next is drawn
+            if c0 < last and c0 - t + 1 == len(out):
+                # The buffer is full where the chunk starts: flush it while
+                # the chunk's noise is drawn.
+                x = out[-1].copy()
+                betas = _beside(draw, partial(flush, p, t, out))
+                out[0], t = x, c0
+            else:
+                betas = draw()
             for r in range(c0, min(c0 + chunk, last)):
                 if r - t + 1 == len(out):
                     x = out[-1].copy()

@@ -11,7 +11,10 @@ writes all trials' states a chunk of rounds at a time into one buffer per
 phase (trials-major with membership events, step-major without), the window
 sums are formed in place there, carrying the last cumulative sums from chunk
 to chunk, and each chunk is reduced over trials before the next overwrites
-it. Memory does not grow with the number of steps. A single run's states are
+it. A buffer holds a noise chunk's rounds (but at least n) and the state
+before them, so unless n rounds are more than a noise chunk, it is full
+where a noise chunk starts, and is reduced while that chunk is drawn.
+Memory does not grow with the number of steps. A single run's states are
 read-only, so its window sums work on a copy; `window_sums` returns one
 series per phase of the run, empty for a phase of fewer than n states.
 """

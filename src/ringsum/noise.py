@@ -11,8 +11,10 @@ about NOISE_BLOCK values, in place, with three scratch buffers per thread,
 and shares the blocks of a larger call out over a pool of up to
 min(4, CPUs) threads (numpy releases the GIL inside its loops). A value
 depends only on its coordinates, and every value goes through the same
-operations in the same order, so the bits depend on neither the block size
-nor the thread count.
+operations in the same order, so the bits depend on neither the block size,
+the thread count nor when or on which thread a call runs: `engine.simulate`
+makes some calls from a helper thread of its own, beside other work, and
+that thread hands its blocks to the pool like any caller.
 
 Slot assignment per (node, step, trial):
   0, 1  - the protocol noise draw (two uniforms feed Box-Muller),
