@@ -46,7 +46,7 @@ from functools import partial
 import numpy as np
 
 from .model import ConfigError, Phase, ProtocolConfig
-from .noise import NoiseSource
+from .noise import NoiseSource, helper
 
 # Noise values drawn per sampling call: bounds the betas buffer while
 # keeping a few hundred rounds per call at 1000 states. The noise source
@@ -101,20 +101,18 @@ def _drift(phases, states) -> float:
     return max_drift
 
 
-def _beside(draw, work):
-    """draw(), made on a helper thread while this thread runs work().
+def _beside(draw, work=lambda: None):
+    """draw(), made on the noise helper thread while this thread runs work().
 
-    The helper is no noise-pool worker, so the blocks it hands to the pool
-    never wait behind it, and it draws in a copy of this thread's context,
-    so numpy's error state holds there too. An error of work() is raised once
-    the draw has finished; one of the draw, after work() returns.
+    The draw runs in a copy of this thread's context, so numpy's error state
+    holds there too. An error of work() is raised once the draw has
+    finished; one of the draw, after work() returns.
     """
-    # Imported here, as in `noise`: a run that never overlaps never loads it.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(1, thread_name_prefix="ringsum-draw") as helper:
-        drawn = helper.submit(contextvars.copy_context().run, draw)
+    drawn = helper().submit(contextvars.copy_context().run, draw)
+    try:
         work()
+    finally:
+        drawn.exception()  # waits for the draw
     return drawn.result()
 
 
@@ -147,6 +145,7 @@ def simulate(config: ProtocolConfig, trials: int, states, first_trial: int = 0,
         last = phase.stop_k - phase.start_k
         rounds = last + (phase.leaver is not None)
         chunk = chunk_rounds(trials, phase.n)
+        chunked = len(out) <= last  # the buffer is shorter than the phase
         t = 0  # the phase row in out[0]
         for c0 in range(0, rounds, chunk):
             ks = np.arange(phase.start_k + c0, phase.start_k + min(c0 + chunk, rounds))
@@ -162,6 +161,11 @@ def simulate(config: ProtocolConfig, trials: int, states, first_trial: int = 0,
                 x = out[-1].copy()
                 betas = _beside(draw, partial(flush, p, t, out))
                 out[0], t = x, c0
+            elif chunked:
+                # On the helper too: then all of a chunked phase's noise
+                # comes from the helper's allocator arena, none from this
+                # thread's, where the flush makes its temporaries.
+                betas = _beside(draw)
             else:
                 betas = draw()
             for r in range(c0, min(c0 + chunk, last)):

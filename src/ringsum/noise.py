@@ -13,8 +13,8 @@ min(4, CPUs) threads (numpy releases the GIL inside its loops). A value
 depends only on its coordinates, and every value goes through the same
 operations in the same order, so the bits depend on neither the block size,
 the thread count nor when or on which thread a call runs: `engine.simulate`
-makes some calls from a helper thread of its own, beside other work, and
-that thread hands its blocks to the pool like any caller.
+makes the calls of a chunked run on `helper()`, beside other work, and that
+thread hands its blocks to the pool like any caller.
 
 Slot assignment per (node, step, trial):
   0, 1  - the protocol noise draw (two uniforms feed Box-Muller),
@@ -47,6 +47,7 @@ _SQRT3 = math.sqrt(3.0)
 NOISE_BLOCK = 1 << 16
 
 _POOL = None  # the ThreadPoolExecutor of _pool()
+_HELPER = None  # the one-thread executor of helper()
 _POOL_LOCK = threading.Lock()
 
 
@@ -63,10 +64,26 @@ def _pool():
         return _POOL
 
 
+def helper():
+    """One thread, created on first use, that draws while its caller does
+    other work. It is no block worker, so the blocks it hands to the pool
+    never wait behind it. It lives as long as the process: the allocator
+    gives each thread an arena of its own, which keeps the buffers a thread
+    frees for that thread's next draw, and a fresh thread per draw could be
+    handed a fresh arena."""
+    global _HELPER
+    with _POOL_LOCK:
+        if _HELPER is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _HELPER = ThreadPoolExecutor(1, thread_name_prefix="ringsum-draw")
+        return _HELPER
+
+
 def _forget_pool() -> None:
-    # A forked child inherits the pool object but not its threads.
-    global _POOL
-    _POOL = None
+    # A forked child inherits the executors but not their threads.
+    global _POOL, _HELPER
+    _POOL = _HELPER = None
 
 
 if hasattr(os, "register_at_fork"):

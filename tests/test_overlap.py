@@ -1,13 +1,16 @@
 """The next chunk's noise, drawn while the caller reduces the last chunk.
 
 When a chunk buffer is full where a noise chunk starts, `engine.simulate`
-draws that chunk on a helper thread while `flush` runs. A draw's values
-depend only on their coordinates, so neither the states nor the Monte Carlo
-statistics may change a bit, on any number of noise workers; the helper is
-no pool worker, so one worker cannot deadlock. Errors of either side reach
-the caller, a flush's only once the draw in flight has finished, and the
-caller's numpy error state holds in the draw.
+draws that chunk on the noise helper thread while `flush` runs. A draw's
+values depend only on their coordinates, so neither the states nor the Monte
+Carlo statistics may change a bit, on any number of noise workers; the
+helper is no pool worker, so one worker cannot deadlock. Errors of either
+side reach the caller, a flush's only once the draw in flight has finished,
+the caller's numpy error state holds in the draw, and a forked child gets a
+helper of its own.
 """
+import os
+import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -75,7 +78,7 @@ def chunked_states(config: ProtocolConfig, trials: int) -> list[np.ndarray]:
     return [np.concatenate(chunks) for chunks in pieces]
 
 
-def in_turn(draw, work):
+def in_turn(draw, work=lambda: None):
     """The order before the overlap: the chunk's noise, then the flush."""
     betas = draw()
     work()
@@ -93,9 +96,9 @@ def test_overlapped_runs_equal_the_in_turn_ones(pools, layout, rounds, workers):
     chunk = engine.NOISE_CHUNK if rounds is None else rounds * TRIALS * len(SECRETS)
     beside, overlaps = engine._beside, []
 
-    def counted(draw, work):
+    def counted(draw, *work):
         overlaps.append(draw)
-        return beside(draw, work)
+        return beside(draw, *work)
 
     with mock.patch.object(engine, "NOISE_CHUNK", chunk), \
             mock.patch.object(noise, "NOISE_BLOCK", 1 << 6), \
@@ -196,13 +199,15 @@ def test_a_draw_error_reaches_the_caller():
     assert flushed == [7, 14]  # the flush beside the failing draw ran to its end
 
 
-@pytest.mark.parametrize("first", [0, 14], ids=["plain", "overlapped"])
-def test_the_callers_error_state_holds_in_an_overlapped_draw(pools, first):
+@pytest.mark.parametrize("layout", ["whole", "chunked"])
+def test_the_callers_error_state_holds_in_an_overlapped_draw(pools, layout):
     # Gaussian noise at a scale near the largest double overflows in the
     # final product, which a pool worker computes; only the chunk that
-    # starts at `first` draws at that scale. Each round just sets the state
-    # to its noise, so that no arithmetic on this thread meets the overflow.
-    config = make_config("dense", steps=30)
+    # starts at `first` draws at that scale: with whole-phase buffers a
+    # draw of this thread, with chunk buffers one beside a flush. Each round
+    # just sets the state to its noise, so that no arithmetic on this
+    # thread meets the overflow.
+    config, first = make_config("dense", steps=30), 0 if layout == "whole" else 14
     huge = [NoiseSchedule.harmonic(1.7e308, 0.0)] * len(SECRETS)
     block, beside, overlapped = engine.noise_block, engine._beside, []
 
@@ -211,13 +216,19 @@ def test_the_callers_error_state_holds_in_an_overlapped_draw(pools, first):
             schedules, ks = huge, np.ones_like(ks)  # every draw at scale 1.7e308
         return block(source, dist, order, schedules, ks, trials, node_major)
 
-    def tracked(draw, work):
-        overlapped.append(draw.args[4][0])
-        return beside(draw, work)
+    def tracked(draw, *work):
+        if work:
+            overlapped.append(draw.args[4][0])
+        return beside(draw, *work)
 
     def noise_round(x, beta, order, out, leaver=None, secret=0.0):
         out[...] = beta
         return order, beta
+
+    def states():
+        if layout == "whole":
+            return [np.empty((p.stop_k - p.start_k + 1, 200, p.n)) for p in config.phases()]
+        return buffers(config, 200)
 
     with mock.patch.object(engine, "NOISE_CHUNK", 7 * 200 * len(SECRETS)), \
             mock.patch.object(noise, "NOISE_BLOCK", 1 << 10), \
@@ -226,7 +237,31 @@ def test_the_callers_error_state_holds_in_an_overlapped_draw(pools, first):
             mock.patch.object(engine, "_beside", tracked), \
             mock.patch.object(engine, "_round", noise_round):
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            engine.simulate(config, 200, buffers(config, 200), flush=lambda *_: None)
+            engine.simulate(config, 200, states(), flush=lambda *_: None)
         with np.errstate(over="ignore"):
-            engine.simulate(config, 200, buffers(config, 200), flush=lambda *_: None)
-    assert (first in overlapped) == (first > 0)
+            engine.simulate(config, 200, states(), flush=lambda *_: None)
+    assert (first in overlapped) == (layout == "chunked")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_draws_on_its_own_helper():
+    # The child inherits the helper's executor but not its thread; a draw
+    # handed to it would never run.
+    config = make_config("dense")
+    with mock.patch.object(engine, "NOISE_CHUNK", 7 * TRIALS * len(SECRETS)):
+        want = aggregate_trials(config, TRIALS)  # starts the helper
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child
+            got = aggregate_trials(config, TRIALS)
+            same = all(np.array_equal(bits(getattr(got, name)), bits(getattr(want, name)))
+                       for name in ("mean_abs_error", "mae_stderr", "sum_variance",
+                                    "sum_variance_stderr"))
+            os._exit(0 if same else 1)
+    deadline = time.monotonic() + 20
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid, "the forked child hung on the inherited helper"
+    assert os.waitstatus_to_exitcode(done[1]) == 0
