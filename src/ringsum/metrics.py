@@ -137,9 +137,10 @@ def _stream(config: ProtocolConfig, trials: int, take) -> None:
     """Run `trials` trials of `config` together, a chunk of rounds at a time.
 
     take(phase, k_end, y) receives each chunk's windows that end at k_end, y
-    of shape (trials, windows, n). After a phase's first chunk, y's first
-    window repeats the last one of the chunk before (k_end does not list it
-    again), so that no chunk short of its phase holds a single window.
+    of shape (trials, windows, n), and may overwrite y. After a phase's first
+    chunk, y's first window repeats the last one of the chunk before (k_end
+    does not list it again), so that no chunk short of its phase holds a
+    single window.
     """
     phases = config.phases()
 
@@ -183,10 +184,11 @@ def aggregate_trials(config: ProtocolConfig, trials: int) -> ErrorAggregate:
         # phase's memory layout. numpy sums a trials-major chunk of one
         # window pairwise, and one of more windows row by row, so a chunk
         # reduces the repeated window along with its own.
-        dev = y - phase.target
-        sae = np.abs(dev, out=dev).sum(axis=2)  # (trials, windows)
-        del dev  # free it before var() allocates its own temporary
         var = y.var(axis=0, ddof=1)  # (windows, n)
+        # The deviations overwrite the chunk, which the engine refills next:
+        # one chunk-sized temporary (var's) instead of two.
+        dev = np.subtract(y, phase.target, out=y)
+        sae = np.abs(dev, out=dev).sum(axis=2)  # (trials, windows)
         new = slice(y.shape[1] - len(k_end), None)
         columns.append((
             k_end,
