@@ -7,8 +7,10 @@ the K values the composition identity is checked at.
 
 The empirical DP audit is a view over the engine's kernel: it samples the
 masked messages through `engine.simulate`, a slice of trials at a time, into
-node-major rows, and runs its K * n sorted per-coordinate reductions on the
-noise threads with scratch buffers made in the calling thread.
+node-major rows, and runs its K * n per-coordinate reductions on the noise
+threads. Each reduction sorts its two rows of the traces in place and reads
+the pooled quartiles and the bin counts from the sorted rows, so the audit
+holds no copy of a sample beside the two traces.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from .model import (
     check_ring,
 )
 from .engine import simulate
-from .noise import run_tasks, workers
+from .noise import run_tasks
 
 
 class MixedFamilyError(RingSumError, ValueError):
@@ -94,43 +96,21 @@ def variance_bound(agg: ScheduleAggregates, n: int) -> float:
 # -- privacy budget ----------------------------------------------------------
 
 
-def _logsumexp(arr: np.ndarray) -> float:
-    m = float(np.max(arr))
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(math.fsum(np.exp(arr - m)))
-
-
 @dataclass(frozen=True)
 class PrivacyBudget:
-    """Per-step budgets eps_0..eps_{K-1} and their composed total.
+    """The composed budget eps_0 + ... + eps_{K-1}, in closed form.
 
-    `total` is the closed-form composition; `log_per_step` carries the exact
-    per-step sequence even where individual terms overflow. A member with
-    harmonic d = 0 draws at d = 1 at k = 0, so `total_start_shifted` takes
+    `log_total` carries it where `total` overflows. A member with harmonic
+    d = 0 draws at d = 1 at k = 0, so `total_start_shifted` takes
     delta * max(d_M, 1) / c_m for the k = 0 term, a bound for every member.
     """
 
     family: Family
     delta: float
     K: int
-    log_per_step: np.ndarray
     total: float
     log_total: float
     total_start_shifted: float | None = None
-
-    @property
-    def per_step(self) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_per_step)
-
-    def log_composed_total(self) -> float:
-        """log of sum_k eps_k, summed with compensated accumulation."""
-        return _logsumexp(self.log_per_step)
-
-    def composed_total(self) -> float:
-        with np.errstate(over="ignore"):
-            return float(np.exp(self.log_composed_total()))
 
 
 def epsilon_total(
@@ -155,29 +135,25 @@ def epsilon_total(
         total = 0.0 if delta == 0 else math.inf
         log_total = math.log(total) if total else -math.inf
         shifted = total if agg.start_shifted else None
-        return PrivacyBudget(agg.family, delta, K, np.full(K, log_total), total, log_total, shifted)
+        return PrivacyBudget(agg.family, delta, K, total, log_total, shifted)
 
-    ks = np.arange(K, dtype=np.float64)
     log_base = math.log(delta / agg.c_m)
-    with np.errstate(divide="ignore"):
-        if agg.family is Family.HARMONIC:
-            log_per_step = log_base + np.log(ks + agg.d_M)
-            total = delta / agg.c_m * K * ((K - 1) / 2.0 + agg.d_M)
-            arg = K * ((K - 1) / 2.0 + agg.d_M)
-            log_total = log_base + (math.log(arg) if arg > 0 else -math.inf)
-        else:
-            phi = agg.phi_m
-            log_per_step = log_base - ks * math.log(phi)
-            log_total = (
-                log_base
-                + math.log1p(-(phi**K))
-                - (K - 1) * math.log(phi)
-                - math.log1p(-phi)
-            )
-            with np.errstate(over="ignore"):
-                total = float(np.exp(log_total))
+    if agg.family is Family.HARMONIC:
+        total = delta / agg.c_m * K * ((K - 1) / 2.0 + agg.d_M)
+        arg = K * ((K - 1) / 2.0 + agg.d_M)
+        log_total = log_base + (math.log(arg) if arg > 0 else -math.inf)
+    else:
+        phi = agg.phi_m
+        log_total = (
+            log_base
+            + math.log1p(-(phi**K))
+            - (K - 1) * math.log(phi)
+            - math.log1p(-phi)
+        )
+        with np.errstate(over="ignore"):
+            total = float(np.exp(log_total))
     shifted = total + delta * (max(agg.d_M, 1.0) - agg.d_M) / agg.c_m if agg.start_shifted else None
-    return PrivacyBudget(agg.family, delta, K, log_per_step, total, log_total, shifted)
+    return PrivacyBudget(agg.family, delta, K, total, log_total, shifted)
 
 
 # -- empirical DP audit -------------------------------------------------------
@@ -193,13 +169,16 @@ class AuditResult:
 
 
 # Trials per `simulate` call of the audit. Each round then draws one noise
-# call of 2^18 * n values, enough to keep the noise source's threads busy,
-# while the reused states buffer stays at (K + 1) * 2^18 * n values (32 MiB
-# at K = 3, n = 4) instead of growing with the samples. The buffer is
-# (K + 1, n, slice), viewed as (K + 1, slice, n): the node-major rows make
-# the kernel's adds and the copy of each round's messages run over 2^18
-# contiguous trials instead of n - 1 neighbouring nodes.
-AUDIT_SLICE = 1 << 18
+# call of 2^17 * n values, enough to keep the noise source's threads busy,
+# while the reused states buffer stays at (K + 1) * 2^17 * n values (16 MiB
+# at K = 3, n = 4) instead of growing with the samples. Sampling the second
+# trace sets the audit's peak, so this buffer is most of what the audit holds
+# beyond the two traces; each draw depends only on its (node, step, trial),
+# so the slice moves no bit. The buffer is (K + 1, n, slice), viewed as
+# (K + 1, slice, n): the node-major rows make the kernel's adds and the copy
+# of each round's messages run over 2^17 contiguous trials instead of n - 1
+# neighbouring nodes.
+AUDIT_SLICE = 1 << 17
 
 
 def _sample_traces(config: ProtocolConfig, K: int, samples: int, trial_offset: int) -> np.ndarray:
@@ -216,32 +195,55 @@ def _sample_traces(config: ProtocolConfig, K: int, samples: int, trial_offset: i
     return out
 
 
-def _coordinate_log_ratio(a: np.ndarray, b: np.ndarray, min_bin_count: int, buf: np.ndarray):
-    """Max |log density ratio| between two samples, histogram-estimated."""
-    both = np.concatenate([a, b], out=buf[: a.size + b.size])
-    # Sorted, the ends are the extremes (NaN sorts last), and each percentile
-    # is numpy's linear rule on the two order statistics around its virtual
-    # index v: the same operands and the same fraction of a quarter, so the
-    # same bits as over the whole pool, without partitioning it.
-    both.sort()
-    lo, hi = float(both[0]), float(both[-1])
+def _pooled_pair(a: np.ndarray, b: np.ndarray, i: int) -> tuple[float, float]:
+    """Order statistics i and i + 1 (from 0) of the sorted samples a and b
+    pooled, as sorting the pool would give them."""
+    # The i + 1 smallest are the first j of a and the first i + 1 - j of b
+    # for the largest j at which a's last taken value is not above the first
+    # value of b left over.
+    lo, hi = max(0, i + 1 - b.size), min(i + 1, a.size)
+    while lo < hi:
+        j = (lo + hi + 1) // 2
+        if a[j - 1] > b[i + 1 - j]:
+            hi = j - 1
+        else:
+            lo = j
+    j, m = lo, i + 1 - lo
+    return (max(a[j - 1 : j].tolist() + b[m - 1 : m].tolist()),
+            min(a[j : j + 1].tolist() + b[m : m + 1].tolist()))
+
+
+def _coordinate_log_ratio(a: np.ndarray, b: np.ndarray, min_bin_count: int):
+    """Max |log density ratio| between two sorted samples, histogram-estimated."""
+    # The ends are the extremes (NaN sorts last, and fmin passes over it).
+    lo, hi = float(np.fmin(a[0], b[0])), float(np.maximum(a[-1], b[-1]))
     if not math.isfinite(hi - lo):
         raise NonFiniteTraceError(f"audit traces span [{lo}, {hi}], not a finite range")
+    size = a.size + b.size
 
     def percentile(q):
-        v = (both.size - 1) * q / 100
+        # numpy's linear rule on the two order statistics of the pool around
+        # the virtual index v: the same operands and the same fraction of a
+        # quarter, so the same bits as over the whole pool.
+        v = (size - 1) * q / 100
         i = int(v)
-        return np.percentile(both[i : i + 2], 100 * (v - i))
+        return np.percentile(_pooled_pair(a, b, i), 100 * (v - i))
 
     q75, q25 = percentile(75), percentile(25)
     iqr = q75 - q25
     if iqr <= 0 or hi <= lo:
         return 0.0, 0.0, 0, 1
-    width = 2.0 * iqr * both.size ** (-1.0 / 3.0)  # Freedman-Diaconis
+    width = 2.0 * iqr * size ** (-1.0 / 3.0)  # Freedman-Diaconis
     nbins = int(np.clip(math.ceil((hi - lo) / width), 1, 2000))
     edges = np.linspace(lo, hi, nbins + 1)
-    ca, _ = np.histogram(a, bins=edges)
-    cb, _ = np.histogram(b, bins=edges)
+
+    def counts(x):
+        # np.histogram's rule for explicit edges: each bin holds its left
+        # edge, the last bin its right edge too.
+        return np.diff(np.concatenate([x.searchsorted(edges[:-1]),
+                                       x.searchsorted(edges[-1:], "right")]))
+
+    ca, cb = counts(a), counts(b)
     mask = (ca >= min_bin_count) & (cb >= min_bin_count)
     used = int(mask.sum())
     if used == 0:
@@ -270,24 +272,27 @@ def dp_audit(config: ProtocolConfig, delta: float, K: int, samples: int) -> Audi
         raise ConfigError("audit runs on event-free configurations")
     agg = ScheduleAggregates.from_schedules(config.schedules)
     budget = epsilon_total(agg, delta, K, config.distribution)  # checks delta and K
-    if samples < 1:
-        raise ConfigError(f"audit needs samples >= 1, got {samples}")
+    min_bin_count = max(500, samples // 400)
+    if samples < min_bin_count:
+        # No bin can then hold min_bin_count samples of each side.
+        raise ConfigError(f"audit needs samples >= {min_bin_count}, got {samples}")
     if agg.c_m == 0:
         # Without noise the budget is infinite and no observation could fail it.
         raise ConfigError(f"audit needs noise on every node, got c = {agg.c_m}")
-    min_bin_count = max(500, samples // 400)
 
     adjacent = replace(config, secrets=(config.secrets[0] + delta, *config.secrets[1:]))
     tr_a = _sample_traces(config, K, samples, 0)
     tr_b = _sample_traces(adjacent, K, samples, samples)
 
-    # One coordinate per task. Each worker reuses one 2 * samples buffer made
-    # here in the calling thread: buffers this large (16 MB at 1e6 samples)
-    # that worker threads allocated and freed would stay resident in glibc's
-    # per-thread arenas.
-    free = [np.empty(2 * samples) for _ in range(min(K * n, workers()))]
-    ratios = run_tasks(lambda ki, buf: _coordinate_log_ratio(tr_a[ki], tr_b[ki], min_bin_count, buf),
-                       list(np.ndindex(K, n)), free.pop)
+    def reduce(ki, _):
+        # One coordinate per task, sorted in place: nothing reads the traces
+        # after their coordinate is reduced.
+        a, b = tr_a[ki], tr_b[ki]
+        a.sort()
+        b.sort()
+        return _coordinate_log_ratio(a, b, min_bin_count)
+
+    ratios = run_tasks(reduce, list(np.ndindex(K, n)))
     per_step, floors = [], []
     bins_used, bins_skipped = (sum(r[j] for r in ratios) for j in (2, 3))
     for k in range(K):

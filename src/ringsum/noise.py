@@ -90,8 +90,9 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def run_tasks(task, items: list, scratch) -> list:
-    """[task(item, buf) for item in items], on the pool if there are several."""
+def run_tasks(task, items: list, scratch=lambda: None) -> list:
+    """[task(item, buf) for item in items], on the pool if there are several;
+    `buf` is None without `scratch`."""
     if len(items) == 1:
         return [task(items[0], scratch())]
     # `buf` is the running thread's own `scratch()`, made on its first task.
@@ -108,11 +109,6 @@ def run_tasks(task, items: list, scratch) -> list:
     for future in futures:  # every task finishes before the first error is raised
         future.exception()
     return [future.result() for future in futures]
-
-
-def workers() -> int:
-    """The number of threads `run_tasks` runs tasks on."""
-    return _pool()._max_workers
 
 
 def _fmix64(z: np.ndarray, tmp: np.ndarray) -> None:

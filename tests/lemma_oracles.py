@@ -1,15 +1,21 @@
-"""The matrix identities of the paper's proofs, which no run executes.
+"""The identities of the paper's proofs, which no run executes.
 
 The cyclic shift A of an n-ring satisfies sum_{r<n} A^r = 1 1^T and A^n = I,
 and Lemma 1 bounds tr(cov(sum_i C^i r^i)) by sum_i ||C^i||_F^2 sigma_M^i.
 Acceptance 8 and `test_analysis.TestOracles` check both here, and
 `shift_matrix` gives the matrix-form replays of the engine their A.
+
+Sequential composition sums the per-step budgets eps_k of `log_per_step`;
+acceptance 5 and `test_analysis.TestPrivacyBudget` check that the sum equals
+`epsilon_total`'s closed form.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from ringsum import Family, ScheduleAggregates
 
 
 def shift_matrix(n: int, dtype=np.float64) -> np.ndarray:
@@ -50,3 +56,35 @@ def lemma1_trace(matrices, variances, samples: int, seed: int) -> tuple[float, f
     bound = math.fsum(float((c**2).sum()) * float(v.max()) for c, v in zip(matrices, variances))
     stderr = float(np.sqrt((2.0 * var_j**2 / (samples - 1)).sum()))
     return float(var_j.sum()), bound, stderr
+
+
+def log_per_step(agg: ScheduleAggregates, delta: float, K: int) -> np.ndarray:
+    """log eps_k for k < K: delta (k + d_M) / c_m harmonic, delta / (c_m phi_m^k)
+    geometric, in log space, where the terms themselves overflow."""
+    if delta == 0 or agg.c_m == 0:
+        return np.full(K, -math.inf if delta == 0 else math.inf)
+    ks = np.arange(K, dtype=np.float64)
+    log_base = math.log(delta / agg.c_m)
+    if agg.family is Family.HARMONIC:
+        with np.errstate(divide="ignore"):
+            return log_base + np.log(ks + agg.d_M)
+    return log_base - ks * math.log(agg.phi_m)
+
+
+def per_step(agg: ScheduleAggregates, delta: float, K: int) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        return np.exp(log_per_step(agg, delta, K))
+
+
+def log_composed_total(agg: ScheduleAggregates, delta: float, K: int) -> float:
+    """log of sum_k eps_k, summed with compensated accumulation."""
+    logs = log_per_step(agg, delta, K)
+    m = float(np.max(logs))
+    if m == -math.inf:
+        return -math.inf
+    return m + math.log(math.fsum(np.exp(logs - m)))
+
+
+def composed_total(agg: ScheduleAggregates, delta: float, K: int) -> float:
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_composed_total(agg, delta, K)))

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from ringsum import (
     ConfigError,
     Distribution,
+    InsufficientSamplesError,
     MixedFamilyError,
     NoiseSchedule,
     NonFiniteTraceError,
@@ -28,7 +30,14 @@ from ringsum import analysis, noise
 from ringsum.analysis import _sample_traces
 from ringsum.engine import noise_block
 from ringsum.noise import NoiseSource
-from lemma_oracles import circulant_identities, lemma1_trace, shift_matrix
+from lemma_oracles import (
+    circulant_identities,
+    composed_total,
+    lemma1_trace,
+    log_composed_total,
+    per_step,
+    shift_matrix,
+)
 
 HARM1000 = NoiseSchedule.harmonic(1000.0, 1.0)
 
@@ -112,13 +121,25 @@ class TestPrivacyBudget:
     def test_composition_identity_harmonic(self):
         agg = _agg(NoiseSchedule.harmonic(3.0, 2.0))
         budget = epsilon_total(agg, delta=0.7, K=100, distribution=Distribution.LAPLACE)
-        assert budget.composed_total() == pytest.approx(budget.total, rel=1e-12)
+        assert composed_total(agg, 0.7, 100) == pytest.approx(budget.total, rel=1e-12)
 
     def test_composition_identity_geometric_log_space(self):
         agg = _agg(NoiseSchedule.geometric(2.0, 0.5))
         budget = epsilon_total(agg, delta=1.0, K=10_000, distribution=Distribution.LAPLACE)
-        assert math.isinf(budget.per_step[-1])  # raw terms overflow by design
-        assert budget.log_composed_total() == pytest.approx(budget.log_total, rel=1e-12)
+        assert math.isinf(per_step(agg, 1.0, 10_000)[-1])  # raw terms overflow by design
+        assert log_composed_total(agg, 1.0, 10_000) == pytest.approx(budget.log_total, rel=1e-12)
+
+    @pytest.mark.parametrize("schedule", [NoiseSchedule.harmonic(3.0, 2.0),
+                                          NoiseSchedule.geometric(2.0, 0.5)])
+    def test_budget_memory_does_not_grow_with_k(self, schedule):
+        agg = _agg(schedule)
+        tracemalloc.start()
+        try:
+            epsilon_total(agg, 1.0, 10**6, Distribution.LAPLACE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_monotone_in_k_delta_and_inverse_c(self):
         for c, delta, K in [(1.0, 0.5, 10), (2.0, 1.0, 20)]:
@@ -145,11 +166,12 @@ class TestPrivacyBudget:
     def test_zero_noise_gives_infinite_budget_unless_delta_is_zero(self, schedule):
         budget = epsilon_total(_agg(schedule), 1.0, 3, Distribution.LAPLACE)
         assert budget.total == budget.log_total == math.inf
-        assert np.all(budget.per_step == math.inf) and budget.per_step.shape == (3,)
+        steps = per_step(_agg(schedule), 1.0, 3)
+        assert np.all(steps == math.inf) and steps.shape == (3,)
         assert budget.total_start_shifted == (math.inf if schedule.start_shifted else None)
         budget = epsilon_total(_agg(schedule), 0.0, 3, Distribution.LAPLACE)
         assert budget.total == 0.0 and budget.log_total == -math.inf
-        assert np.all(budget.per_step == 0.0)
+        assert np.all(per_step(_agg(schedule), 0.0, 3) == 0.0)
 
     # total, log_total and total_start_shifted of four equal schedules at
     # delta = 0.3 and K = 17, as the budget gave them before the start shift
@@ -247,15 +269,41 @@ class TestAudit:
     @pytest.mark.parametrize(
         "c, delta, K, samples",
         [(1.0, 1.0, 0, 1000), (1.0, 1.0, -1, 1000), (1.0, 1.0, 1, 0), (1.0, 1.0, 1, -5),
-         (1.0, math.nan, 1, 1000), (1.0, -1.0, 1, 1000), (0.0, 1.0, 1, 1000)],
-        ids=["K-zero", "K-negative", "samples-zero", "samples-negative", "delta-nan",
-             "delta-negative", "no-noise"],
+         (1.0, 1.0, 1, 499), (1.0, math.nan, 1, 1000), (1.0, -1.0, 1, 1000),
+         (0.0, 1.0, 1, 1000)],
+        ids=["K-zero", "K-negative", "samples-zero", "samples-negative",
+             "samples-below-the-bin-floor", "delta-nan", "delta-negative", "no-noise"],
     )
     def test_invalid_arguments_rejected_before_any_draw(self, monkeypatch, c, delta, K, samples):
         monkeypatch.setattr(analysis, "_sample_traces", _no_draw)
         cfg = self._config(NoiseSchedule.harmonic(c, 1.0))
         with pytest.raises(ConfigError):
             dp_audit(cfg, delta, K, samples)
+
+    def test_disjoint_traces_leave_no_bin_to_compare(self, monkeypatch):
+        # Every bin holds values of one side only, so none reaches the bin
+        # floor of 500 on both.
+        def disjoint(config, K, samples, first):
+            shift = 10.0 if first else 0.0
+            return np.linspace(shift, shift + 1.0, K * 3 * samples).reshape(K, 3, samples)
+
+        monkeypatch.setattr(analysis, "_sample_traces", disjoint)
+        cfg = self._config(NoiseSchedule.harmonic(1.0, 1.0))
+        with pytest.raises(InsufficientSamplesError, match="no histogram bin reached 500"):
+            dp_audit(cfg, 1.0, 2, 1000)
+
+    def test_the_audit_holds_little_beyond_its_two_traces(self):
+        # The reductions sort the traces in place; what remains is one
+        # sampling slice and its noise while the second trace is drawn.
+        cfg = self._config(NoiseSchedule.harmonic(1.0, 1.0))
+        traces = 2 * 2 * 3 * 300_000 * 8
+        tracemalloc.start()
+        try:
+            dp_audit(cfg, 1.0, 2, 300_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8 * traces
 
     @pytest.mark.parametrize("c, d", [(1e308, 1.0), (1e300, 1e-300)])
     def test_non_finite_traces_raise_a_ringsum_error(self, c, d):
@@ -288,10 +336,10 @@ class TestAudit:
                             lambda config, K, samples, first: clean if first else poisoned)
         finished, ratio = [], analysis._coordinate_log_ratio
 
-        def slow_ratio(a, b, min_bin_count, buf):
+        def slow_ratio(a, b, min_bin_count):
             if not np.isnan(a).any():
                 time.sleep(0.05)  # the failing coordinate is the first to end
-            finished.append(ratio(a, b, min_bin_count, buf))
+            finished.append(ratio(a, b, min_bin_count))
             return finished[-1]
 
         monkeypatch.setattr(analysis, "_coordinate_log_ratio", slow_ratio)
@@ -360,30 +408,44 @@ def sample_pairs(draw):
 
 
 class TestCoordinateReduction:
-    """The sorted reduction against the partitioning one it replaced (the
-    oracle above, kept verbatim but for its name)."""
+    """The reduction of two sorted samples against the partitioning one on
+    the pooled samples that it replaced (the oracle above, kept verbatim but
+    for its name)."""
 
     @settings(max_examples=300, deadline=None)
-    @given(pair=sample_pairs(), min_bin_count=st.integers(1, 60), spare=st.integers(0, 9))
-    def test_sorted_reduction_equals_the_partitioning_one(self, pair, min_bin_count, spare):
-        a, b = pair
+    @given(pair=sample_pairs(), min_bin_count=st.integers(1, 60))
+    def test_sorted_reduction_equals_the_partitioning_one(self, pair, min_bin_count):
+        a, b = (np.sort(x) for x in pair)
         kept = a.copy(), b.copy()
-        buf = np.full(a.size + b.size + spare, math.nan)
-        got = analysis._coordinate_log_ratio(a, b, min_bin_count, buf)
-        assert repr(got) == repr(oracle_coordinate_log_ratio(a, b, min_bin_count))
+        got = analysis._coordinate_log_ratio(a, b, min_bin_count)
+        assert repr(got) == repr(oracle_coordinate_log_ratio(*pair, min_bin_count))
         assert np.array_equal(a, kept[0]) and np.array_equal(b, kept[1])
+
+    # One-element sides, ties, and -0.0 beside 0.0, which compare equal, so
+    # a sort may put either first: the statistics are compared by value.
+    _side = st.lists(st.sampled_from([-2.0, -0.0, 0.0, 0.5, 1.0]) | st.floats(-3.0, 3.0),
+                     min_size=1, max_size=12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=_side, b=_side)
+    def test_pooled_order_statistics_match_the_sorted_pool(self, a, b):
+        a, b = np.sort(a), np.sort(b)
+        pool = np.sort(np.concatenate([a, b]))
+        for i in range(pool.size - 1):
+            assert analysis._pooled_pair(a, b, i) == (pool[i], pool[i + 1])
+            assert analysis._pooled_pair(b, a, i) == (pool[i], pool[i + 1])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_raise(self, bad):
         a, b = np.linspace(-1.0, 1.0, 50), np.linspace(-1.0, 1.0, 50)
         b[7] = bad
         with pytest.raises(NonFiniteTraceError):
-            analysis._coordinate_log_ratio(a, b, 1, np.empty(100))
+            analysis._coordinate_log_ratio(a, np.sort(b), 1)
 
     def test_a_range_past_the_largest_double_raises(self):
-        a, b = np.array([-1e308, 0.0, 1.0]), np.array([1e308, 2.0])
+        a, b = np.array([-1e308, 0.0, 1.0]), np.array([2.0, 1e308])
         with pytest.raises(NonFiniteTraceError):
-            analysis._coordinate_log_ratio(a, b, 1, np.empty(5))
+            analysis._coordinate_log_ratio(a, b, 1)
 
 
 class TestOracles:

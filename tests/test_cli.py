@@ -384,10 +384,10 @@ class TestThinSubcommands:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--K", "0"), ("--samples", "0"), ("--samples", "-5"), ("--delta", "nan"),
-         ("--delta", "-1"), ("--c", "0")],
-        ids=["K-zero", "samples-zero", "samples-negative", "delta-nan", "delta-negative",
-             "no-noise"],
+        [("--K", "0"), ("--samples", "0"), ("--samples", "-5"), ("--samples", "499"),
+         ("--delta", "nan"), ("--delta", "-1"), ("--c", "0")],
+        ids=["K-zero", "samples-zero", "samples-negative", "samples-below-the-bin-floor",
+             "delta-nan", "delta-negative", "no-noise"],
     )
     def test_audit_rejects_invalid_arguments_before_any_draw(self, monkeypatch, capsys, flag, value):
         def no_draw(*_):
