@@ -20,11 +20,8 @@ from .noise import NoiseSource
 from .engine import RunResult, run_ai, run_si
 from .metrics import (
     ErrorAggregate,
-    WindowNotFullError,
     aggregate_trials,
-    estimator,
     error_series,
-    trial_mean_estimates,
     window_sums,
 )
 from .analysis import (

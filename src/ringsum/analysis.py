@@ -105,12 +105,9 @@ class PrivacyBudget:
     delta * max(d_M, 1) / c_m for the k = 0 term, a bound for every member.
     """
 
-    family: Family
-    delta: float
-    K: int
     total: float
     log_total: float
-    total_start_shifted: float | None = None
+    total_start_shifted: float | None
 
 
 def epsilon_total(
@@ -135,7 +132,7 @@ def epsilon_total(
         total = 0.0 if delta == 0 else math.inf
         log_total = math.log(total) if total else -math.inf
         shifted = total if agg.start_shifted else None
-        return PrivacyBudget(agg.family, delta, K, total, log_total, shifted)
+        return PrivacyBudget(total, log_total, shifted)
 
     log_base = math.log(delta / agg.c_m)
     if agg.family is Family.HARMONIC:
@@ -153,7 +150,7 @@ def epsilon_total(
         with np.errstate(over="ignore"):
             total = float(np.exp(log_total))
     shifted = total + delta * (max(agg.d_M, 1.0) - agg.d_M) / agg.c_m if agg.start_shifted else None
-    return PrivacyBudget(agg.family, delta, K, total, log_total, shifted)
+    return PrivacyBudget(total, log_total, shifted)
 
 
 # -- empirical DP audit -------------------------------------------------------

@@ -39,7 +39,6 @@ AUDIT_TOL = 0.15
 _DISTRIBUTIONS = {
     "laplace": Distribution.LAPLACE,
     "gaussian": Distribution.GAUSSIAN,
-    "normal": Distribution.GAUSSIAN,
     "uniform": Distribution.UNIFORM_SYMMETRIC,
 }
 
@@ -254,7 +253,7 @@ def _run_simulate(args) -> int:
 
 def _run_bounds(args) -> int:
     sched = _schedule_from_args(args.family, args.c, args.d, args.phi)
-    agg = analysis.ScheduleAggregates.from_schedules([sched] * args.n)
+    agg = analysis.ScheduleAggregates.from_schedules([sched])
     print(f"utility_bound {_fmt(analysis.utility_bound(agg, args.n))}")
     print(f"variance_bound {_fmt(analysis.variance_bound(agg, args.n))}")
     return 0

@@ -1,10 +1,11 @@
-"""Solution estimator and Monte Carlo error aggregation.
+"""Window sums (the estimator) and Monte Carlo error aggregation.
 
 A node's estimate is the sum of its own last n recorded states (n = current
 member count). The window sum over states x_i(k-n+1..k) equals the protocol's
 forward-looking window starting at k-n+1, so results carry both indices.
 Windows reset on every membership change; errors are always measured against
-the current-phase member sum.
+the current-phase member sum. For a run's phase p, `window_sums(run)[p].y[i, j]`
+is the estimate of node `order[j]` at step `k_end[i]`.
 
 Monte Carlo trials are simulated together and streamed: `engine.simulate`
 writes all trials' states a chunk of rounds at a time into one buffer per
@@ -26,14 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .model import ProtocolConfig, RingSumError
+from .model import ProtocolConfig
 # run_si is imported only because perfbench/smoke.py asserts that the tracer
 # rebinds `metrics.run_si` too; the tracer itself checks only `engine`.
 from .engine import RunResult, run_si, simulate  # noqa: F401
-
-
-class WindowNotFullError(RingSumError, ValueError):
-    """Estimator requested before n consecutive states are available."""
 
 
 @dataclass
@@ -84,19 +81,6 @@ def window_sums(run: RunResult) -> list[PhaseWindows]:
         out.append(PhaseWindows(phase.order, phase.target,
                                 phase.start_k + np.arange(n - 1, len(y)), y[n - 1 :]))
     return out
-
-
-def estimator(run: RunResult, node: int, k: int) -> float:
-    """Window sum of `node`'s states ending at step k (window length n)."""
-    for (phase, states), part in zip(run.phases, window_sums(run)):
-        offset = k - phase.start_k
-        if node in phase.order and 0 <= offset < len(states):
-            if offset < phase.n - 1:
-                raise WindowNotFullError(
-                    f"node {node} has only {offset + 1} states at k={k}, needs {phase.n}"
-                )
-            return float(part.y[offset - (phase.n - 1), phase.order.index(node)])
-    raise WindowNotFullError(f"no recorded window for node {node} ending at k={k}")
 
 
 def error_series(run: RunResult, parts: list[PhaseWindows] | None = None
@@ -204,23 +188,3 @@ def aggregate_trials(config: ProtocolConfig, trials: int) -> ErrorAggregate:
         return ErrorAggregate(np.array([], dtype=int), *[np.array([])] * 4, trials=trials)
     return ErrorAggregate(*map(np.concatenate, zip(*columns)), trials=trials)
 
-
-def trial_mean_estimates(
-    config: ProtocolConfig, trials: int, k_end: int
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """(nodes, mean of y_i(k_end) across trials, standard errors)."""
-    if trials < 2:
-        raise ValueError("a standard error needs at least 2 trials")
-    found = []
-
-    def take(phase, ks, y):
-        idx = np.flatnonzero(ks == k_end)
-        if idx.size and not found:
-            y_k = y[:, int(idx[0]) - len(ks)]
-            stderr = y_k.std(axis=0, ddof=1) / math.sqrt(trials)
-            found.append((phase.order, y_k.mean(axis=0), stderr))
-
-    _stream(config, trials, take)
-    if not found:
-        raise WindowNotFullError(f"no full window ends at k={k_end}")
-    return found[0]

@@ -19,6 +19,10 @@ thread hands its blocks to the pool like any caller.
 Slot assignment per (node, step, trial):
   0, 1  - the protocol noise draw (two uniforms feed Box-Muller),
   2     - the Poisson-clock inter-tick gap of the asynchronous engine.
+
+There are two kinds of draw: the protocol noise of a `Distribution`
+(`NoiseSource.sample`) and the clock gap (`NoiseSource.clock_gap`). Either
+returns an array of at least one dimension, also for scalar coordinates.
 """
 from __future__ import annotations
 
@@ -157,9 +161,9 @@ def _fill(out, idx, buf, prefix, trial, slot_keys, kind, param) -> None:
     o = out[idx]
     a, b, f = (x[: o.size].reshape(o.shape) for x in buf)
     tmp = f.view(np.uint64)
-    p = None if param is None else _rows(param, idx)
+    p = _rows(param, idx)
 
-    def uniform(slot_key, u):
+    def unit(slot_key, u):
         np.bitwise_xor(a, _rows(slot_key, idx), out=b)
         _fmix64(b, tmp)
         np.right_shift(b, np.uint64(11), out=b)
@@ -170,21 +174,24 @@ def _fill(out, idx, buf, prefix, trial, slot_keys, kind, param) -> None:
         np.bitwise_xor(_rows(prefix, idx), _key(_rows(trial, idx)), out=a)
         _fmix64(a, b)
     if kind is Distribution.GAUSSIAN:  # scale * sqrt(-2 log u1) * cos(2 pi u2)
-        uniform(slot_keys[1], o)
+        unit(slot_keys[1], o)
         np.multiply(o, 2.0 * np.pi, out=o)
         np.cos(o, out=o)
-        uniform(slot_keys[0], f)
+        unit(slot_keys[0], f)
         np.log(f, out=f)
         np.multiply(f, -2.0, out=f)
         np.sqrt(f, out=f)
         np.multiply(f, o, out=o)
         np.multiply(o, p, out=o)
         return
-    uniform(slot_keys[0], o)
+    unit(slot_keys[0], o)
     if kind is Distribution.LAPLACE:  # (-scale * sign(t)) * log1p(-2|t|), t = u - 1/2
         np.subtract(o, 0.5, out=o)
         np.abs(o, out=f)
         np.multiply(f, -2.0, out=f)
+        # At b = 2**53 - 1, and only there, b + 0.5 rounds up to u = 1.0 and
+        # log1p(-1) is -inf: f takes the value of the exact u, 1 - 2**-54.
+        np.maximum(f, -1.0 + 2.0**-53, out=f)
         np.log1p(f, out=f)
         np.sign(o, out=o)
         np.multiply(o, p, out=o)
@@ -193,23 +200,22 @@ def _fill(out, idx, buf, prefix, trial, slot_keys, kind, param) -> None:
         np.multiply(o, 2.0, out=o)
         np.subtract(o, 1.0, out=o)
         np.multiply(o, p, out=o)
-    elif kind == "clock":  # -log(u) / rate
+    else:  # the clock: -log(u) / rate
         np.log(o, out=o)
         np.negative(o, out=o)
         np.divide(o, p, out=o)
 
 
-def _draw(seed: int, node, k, trial, slots, kind, param=None):
-    """Draws of `kind` ("uniform", "clock" or a Distribution) broadcast over
-    the coordinates and `param`; a float if every input is a scalar. The
+def _draw(seed: int, node, k, trial, slots, kind, param) -> np.ndarray:
+    """Draws of `kind` ("clock" or a Distribution) broadcast over the
+    coordinates and `param`, in an array of at least one dimension. The
     Gaussian takes two slots, the other kinds one."""
-    coords = [np.asarray(x, dtype=np.uint64) for x in (node, k, trial, *slots)]
-    operands = coords if param is None else [*coords, np.asarray(param)]
-    shape = np.broadcast(*operands).shape
-    nd = max(1, len(shape))
-    node, k, trial, *rest = (x.reshape((1,) * (nd - x.ndim) + x.shape) for x in operands)
-    slots, param = rest[: len(slots)], None if param is None else rest[-1]
-    out = np.empty(shape or (1,))
+    operands = [*(np.asarray(x, dtype=np.uint64) for x in (node, k, trial, *slots)),
+                np.asarray(param)]
+    shape = np.broadcast(*operands).shape or (1,)
+    node, k, trial, *slots, param = (x.reshape((1,) * (len(shape) - x.ndim) + x.shape)
+                                     for x in operands)
+    out = np.empty(shape)
     if out.size:
         prefix = np.full(np.broadcast(node, k).shape, seed & _MASK64, np.uint64)
         with np.errstate(over="ignore"):
@@ -227,7 +233,7 @@ def _draw(seed: int, node, k, trial, slots, kind, param=None):
         run_tasks(lambda idx, buf: _fill(out, idx, buf, prefix, trial, slot_keys, kind, param),
                   list(_blocks(out.shape, NOISE_BLOCK)),
                   lambda: (np.empty(size, np.uint64), np.empty(size, np.uint64), np.empty(size)))
-    return float(out[0]) if not shape else out
+    return out
 
 
 @dataclass(frozen=True)
@@ -236,11 +242,7 @@ class NoiseSource:
 
     master_seed: int
 
-    def uniform(self, node, k, trial, slot) -> np.ndarray | float:
-        """A uniform (0,1) draw for the given stream coordinates."""
-        return _draw(self.master_seed, node, k, trial, (slot,), "uniform")
-
-    def sample(self, node, k, trial, scale, dist: Distribution):
+    def sample(self, node, k, trial, scale, dist: Distribution) -> np.ndarray:
         """Zero-mean sample(s) at the given scale.
 
         Gaussian / symmetric-uniform treat `scale` as the standard deviation;
@@ -256,7 +258,7 @@ class NoiseSource:
         slots = (SLOT_BETA, SLOT_BETA_AUX) if dist is Distribution.GAUSSIAN else (SLOT_BETA,)
         return _draw(self.master_seed, node, k, trial, slots, dist, scale)
 
-    def clock_gap(self, node, tick_index, trial, rate: float):
+    def clock_gap(self, node, tick_index, trial, rate: float) -> np.ndarray:
         """Exponential inter-tick gap with the given Poisson rate."""
         return _draw(self.master_seed, node, tick_index, trial, (SLOT_CLOCK,), "clock",
                      np.asarray(rate, dtype=np.float64))

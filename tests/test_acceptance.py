@@ -37,7 +37,6 @@ from ringsum import (
     epsilon_total,
     run_si,
     solve_harmonic,
-    trial_mean_estimates,
     utility_bound,
     variance_bound,
 )
@@ -50,6 +49,7 @@ from lemma_oracles import (
     log_composed_total,
     shift_matrix,
 )
+from whole_tensor import streamed_trial_mean_estimates
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "example2.cfg"
 
@@ -170,14 +170,14 @@ def test_acceptance_3_variance_bound_domination():
 
 def test_acceptance_4_unbiasedness():
     """Trial-mean estimates at the plateau sit within 5 standard errors of the
-    true sum on the same grid."""
+    true sum on the same grid, read from the streamed Monte Carlo chunks."""
     trials = 10_000
     ok = True
     for n, schedule in GRID:
         cfg = ProtocolConfig.uniform(
             np.arange(1.0, n + 1.0), schedule, Distribution.GAUSSIAN, 12 * n, 7
         )
-        _, mean_y, stderr = trial_mean_estimates(cfg, trials, k_end=12 * n)
+        _, mean_y, stderr = streamed_trial_mean_estimates(cfg, trials, k_end=12 * n)
         dev = np.abs(mean_y - math.fsum(cfg.secrets))
         ok &= bool(np.all(dev <= 5.0 * np.maximum(stderr, 1e-15)))
     _verdict(4, "unbiasedness", ok)

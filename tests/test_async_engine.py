@@ -54,14 +54,14 @@ class AsyncClock:
         self.source = source
         self.trial = trial
         self._heap = [
-            (source.clock_gap(node, 0, trial, rate), node, 0) for node in nodes
+            (float(source.clock_gap(node, 0, trial, rate)[0]), node, 0) for node in nodes
         ]
         heapq.heapify(self._heap)
 
     def next_tick(self) -> tuple[float, int, int]:
         """(timestamp, node, local tick index) of the next tick; reschedules."""
         t, node, m = heapq.heappop(self._heap)
-        gap = self.source.clock_gap(node, m + 1, self.trial, self.rate)
+        gap = float(self.source.clock_gap(node, m + 1, self.trial, self.rate)[0])
         heapq.heappush(self._heap, (t + gap, node, m + 1))
         return t, node, m
 
@@ -113,7 +113,7 @@ def oracle_run_ai(
         m = tick_counts[node]
         tick_counts[node] = m + 1
         scale = _scale_with_start_shift(run.schedules[node], m)
-        beta = run.source.sample(node, m, trial, scale, run.distribution)
+        beta = float(run.source.sample(node, m, trial, scale, run.distribution)[0])
         j = pos[node]
         d = run.x[j] - beta
         run.x[j] = beta
@@ -193,7 +193,7 @@ def test_run_ai_equals_heap_oracle(n, kind, dist, c, seed, trial, rate, horizon)
 def test_horizon_before_every_first_tick():
     config = _config()
     source = NoiseSource(config.rng_seed)
-    first = min(source.clock_gap(node, 0, 0, 1.0) for node in (1, 2, 3))
+    first = min(float(source.clock_gap(node, 0, 0, 1.0)[0]) for node in (1, 2, 3))
     run, ref = both(config, 1.0, first / 2)
     assert run.k == 0
     assert run.phases[0][1].shape == (1, 3)

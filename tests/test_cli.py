@@ -161,6 +161,14 @@ class TestConfigErrorsBeforeOutput:
         assert err.startswith(f"error: {path}: ") and err.count(str(path)) == 1
         assert not (tmp_path / "out").exists()
 
+    def test_normal_is_an_unknown_distribution(self, tmp_path, monkeypatch, capsys):
+        # README lists laplace, gaussian and uniform; "normal" is no alias.
+        path = _write_scenario(tmp_path, BASIC.replace("distribution = laplace", "distribution = normal"))
+        monkeypatch.setenv("RINGSUM_OUT", str(tmp_path / "out"))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "[noise] distribution: unknown value 'normal'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_valid_poisson_settings_load(self, tmp_path):
         _, protocol, _, extras = load_scenario(_write_scenario(tmp_path, _ai("horizon = 5", "rate = 2.5")))
         assert protocol == "ai"
@@ -357,6 +365,13 @@ class TestThinSubcommands:
         values = dict(line.split() for line in out.splitlines())
         assert float(values["utility_bound"]) == pytest.approx(4.0558e4, rel=1e-4)
         assert float(values["variance_bound"]) == pytest.approx(3.28987e8, rel=1e-4)
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_bounds_below_three_members_names_the_ring_rule(self, capsys, n):
+        assert main(["bounds", "--family", "harmonic", "--c", "1", "--d", "1", "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: a ring needs at least 3 members, got {n}\n"
+        assert captured.out == ""
 
     def test_budget_reference_value(self, capsys):
         code = main(

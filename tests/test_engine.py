@@ -83,7 +83,7 @@ class TestSynchronousStep:
         src = NoiseSource(cfg.rng_seed)
         for k in (12, 23, 40):
             want = [src.sample(node, k, 0, c * phi**k, cfg.distribution) for node in (1, 2, 3)]
-            assert betas[k, 0].view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+            assert betas[k, 0].view(np.uint64).tolist() == np.concatenate(want).view(np.uint64).tolist()
 
     def test_trace_records_every_masked_message(self):
         cfg = _config([1.0, 2.0, 3.0], steps=4)

@@ -9,19 +9,16 @@ from ringsum import (
     Join,
     Leave,
     NoiseSchedule,
-    NoiseSource,
     ProtocolConfig,
-    WindowNotFullError,
     aggregate_trials,
-    estimator,
     error_series,
     run_ai,
     run_si,
-    trial_mean_estimates,
     window_sums,
 )
 from ringsum import engine, metrics
 from ringsum.engine import _drift, simulate
+from whole_tensor import streamed_trial_mean_estimates
 
 ZERO = NoiseSchedule.harmonic(0.0, 1.0)
 HARM = NoiseSchedule.harmonic(3.0, 1.0)
@@ -58,32 +55,22 @@ class TestWindows:
                 assert len(part.k_end) == (0 if empty else len(states) - phase.n + 1)
                 assert part.y.shape == (len(part.k_end), phase.n)
 
-    def test_estimator_matches_brute_force_column_sum(self):
-        run = run_si(_config([1.0, 2.0, 3.0, 4.0], steps=12, seed=5))
-        states = run.phases[0][1]
-        for k in (3, 7, 12):
-            for j, node in enumerate(run.members):
-                assert estimator(run, node, k) == pytest.approx(
-                    states[k - 3 : k + 1, j].sum(), rel=0, abs=1e-12
-                )
-
-    def test_estimator_has_the_bits_of_window_sums_over_a_churn_run(self):
-        # The value trajectories.csv writes as y: cumulative sums and their
-        # differences, not a direct sum of the window's states.
-        cfg = _config([1.0, 2.0, 3.0, 4.0, 5.0], NoiseSchedule.harmonic(50.0, 1.0), steps=200, seed=3,
-                      events=(Leave(60, node=2), Join(120, 2, anchor=4, secret=3.5)))
+    @pytest.mark.parametrize("cfg", [
+        _config([1.0, 2.0, 3.0, 4.0], steps=12, seed=5),
+        _config([1.0, 2.0, 3.0, 4.0, 5.0], steps=40, seed=3,
+                events=(Leave(12, node=2), Join(25, 2, anchor=4, secret=3.5))),
+    ], ids=["one-phase", "churn"])
+    def test_window_sums_match_brute_force_column_sums(self, cfg):
+        # Row i of a phase's y sums each node's last n states at k_end[i].
         run = run_si(cfg)
         parts = window_sums(run)
-        assert len(parts) == 3
-        for part in parts:
-            got = np.array([[estimator(run, node, k) for node in part.order]
-                            for k in part.k_end.tolist()])
-            assert np.array_equal(got.view(np.uint64), part.y.view(np.uint64))
-
-    def test_estimator_before_full_window_raises(self):
-        run = run_si(_config([1.0, 2.0, 3.0, 4.0], steps=12))
-        with pytest.raises(WindowNotFullError):
-            estimator(run, 1, 2)
+        assert len(parts) == len(cfg.events) + 1
+        for (phase, states), part in zip(run.phases, parts):
+            for i, k in enumerate(part.k_end.tolist()):
+                last = k - phase.start_k
+                assert part.y[i] == pytest.approx(
+                    states[last - phase.n + 1 : last + 1].sum(axis=0), rel=0, abs=1e-12
+                )
 
     def test_windows_reset_on_membership_change(self):
         cfg = _config([1.0, 2.0, 3.0, 4.0], steps=30, events=(Leave(10, node=4),))
@@ -169,22 +156,8 @@ class TestAggregation:
         with pytest.raises(ValueError):
             aggregate_trials(cfg, trials=1)
 
-    def test_trial_mean_estimates_near_total(self):
+    def test_streamed_trial_means_near_total(self):
         cfg = _config([1.0, 2.0, 3.0], GEO, steps=40, seed=6)
-        nodes, mean_y, stderr = trial_mean_estimates(cfg, trials=200, k_end=40)
+        nodes, mean_y, stderr = streamed_trial_mean_estimates(cfg, trials=200, k_end=40)
         assert nodes == (1, 2, 3)
         assert np.all(np.abs(mean_y - 6.0) <= 5 * np.maximum(stderr, 1e-12))
-
-    def test_trial_mean_estimates_missing_k_raises(self):
-        cfg = _config([1.0, 2.0, 3.0], steps=10)
-        with pytest.raises(WindowNotFullError):
-            trial_mean_estimates(cfg, trials=3, k_end=999)
-
-    @pytest.mark.parametrize("trials", [0, 1])
-    def test_trial_mean_estimates_needs_two_trials_before_any_draw(self, monkeypatch, trials):
-        def no_draws(*args, **kwargs):
-            raise AssertionError("noise drawn before the trial count was checked")
-
-        monkeypatch.setattr(NoiseSource, "sample", no_draws)
-        with pytest.raises(ValueError, match="at least 2 trials"):
-            trial_mean_estimates(_config([1.0, 2.0, 3.0]), trials=trials, k_end=30)

@@ -1,30 +1,39 @@
 """Counter-based noise stream: determinism, order independence, moments."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ringsum import Distribution, NoiseSource
+from ringsum import Distribution, NoiseSource, noise
 
 u64 = st.integers(0, 2**64 - 1)
 small = st.integers(0, 2**20)
 
 
+def unit(seed, node, k, trial, slot):
+    """2u - 1 for the raw uniform u at the coordinates: the symmetric uniform
+    transform at parameter 1, whose operations are all exact."""
+    return noise._draw(seed, node, k, trial, (slot,), Distribution.UNIFORM_SYMMETRIC, 1.0)
+
+
+# The one 53-bit value for which b + 0.5 rounds up to u = 1.0.
+U_ONE = dict(node=1, k=0, trial=np.array([4418893527435787771], np.uint64))
+
+
 class TestDeterminism:
     @given(seed=u64, node=small, k=small, trial=small, slot=st.integers(0, 3))
-    def test_uniform_is_a_pure_function_of_coordinates(self, seed, node, k, trial, slot):
-        src = NoiseSource(seed)
-        a = src.uniform(node, k, trial, slot)
-        b = NoiseSource(seed).uniform(node, k, trial, slot)
-        assert a == b
-        assert 0.0 < a < 1.0
+    def test_draws_are_a_pure_function_of_coordinates(self, seed, node, k, trial, slot):
+        a = unit(seed, node, k, trial, slot)
+        assert a.shape == (1,) and a.tolist() == unit(seed, node, k, trial, slot).tolist()
+        assert -1.0 < a[0] <= 1.0  # u = 1.0 at one coordinate, see U_ONE
 
     @given(seed=u64, node=small, k=small, trial=small)
     def test_adjacent_coordinates_decorrelate(self, seed, node, k, trial):
-        src = NoiseSource(seed)
-        base = src.uniform(node, k, trial, 0)
-        assert base != src.uniform(node + 1, k, trial, 0)
-        assert base != src.uniform(node, k + 1, trial, 0)
-        assert base != src.uniform(node, k, trial + 1, 0)
+        base = unit(seed, node, k, trial, 0)
+        assert base != unit(seed, node + 1, k, trial, 0)
+        assert base != unit(seed, node, k + 1, trial, 0)
+        assert base != unit(seed, node, k, trial + 1, 0)
 
     def test_vectorized_matches_scalar_elementwise(self):
         src = NoiseSource(42)
@@ -36,7 +45,7 @@ class TestDeterminism:
         for i, k in enumerate(ks):
             for j, node in enumerate(nodes):
                 scalar = src.sample(int(node), int(k), 3, 1.5, Distribution.LAPLACE)
-                assert block[i, j] == scalar
+                assert scalar.shape == (1,) and block[i, j] == scalar[0]
 
     def test_different_seeds_differ(self):
         a = NoiseSource(1).sample(1, 0, 0, 1.0, Distribution.GAUSSIAN)
@@ -83,9 +92,19 @@ class TestMoments:
 class TestSampleBeta:
     def test_scale_zero_gives_zero_noise(self):
         src = NoiseSource(0)
-        assert src.sample(1, 1, 1, 0.0, Distribution.LAPLACE) == 0.0
+        assert src.sample(1, 1, 1, 0.0, Distribution.LAPLACE).tolist() == [0.0]
 
     @given(seed=u64)
     def test_slots_are_independent_streams(self, seed):
-        src = NoiseSource(seed)
-        assert src.uniform(1, 1, 1, 0) != src.uniform(1, 1, 1, 2)
+        assert unit(seed, 1, 1, 1, 0) != unit(seed, 1, 1, 1, 2)
+
+    def test_a_uniform_of_one_gives_a_finite_laplace_draw(self):
+        # u = 1.0 puts the symmetric uniform at the top of its support and the
+        # Gaussian's log(u) at 0; log1p(-2|u - 1/2|) would be -inf, so the
+        # Laplace draw takes the value of the exact u = 1 - 2**-54 instead.
+        src = NoiseSource(0)
+        assert unit(0, **U_ONE, slot=0).tolist() == [1.0]
+        assert src.sample(**U_ONE, scale=1.0, dist=Distribution.GAUSSIAN).tolist() == [0.0]
+        x = src.sample(**U_ONE, scale=2.0, dist=Distribution.LAPLACE)
+        assert np.isfinite(x).all()
+        assert x[0] == pytest.approx(2.0 * 53 * math.log(2.0), rel=1e-15)

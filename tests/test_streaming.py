@@ -19,17 +19,17 @@ from ringsum import (
     Leave,
     NoiseSchedule,
     ProtocolConfig,
-    WindowNotFullError,
     aggregate_trials,
     engine,
-    trial_mean_estimates,
 )
 import whole_tensor
 from whole_tensor import (
+    WindowNotFullError,
     assert_same_aggregate,
     bits,
     oracle_aggregate_trials,
     oracle_trial_mean_estimates,
+    streamed_trial_mean_estimates,
     trial_windows,
 )
 
@@ -124,10 +124,10 @@ def test_streamed_trial_means_equal_the_whole_tensor(kind, chunk, dist, trials):
         except WindowNotFullError:
             with pytest.raises(WindowNotFullError), \
                     mock.patch.object(engine, "NOISE_CHUNK", noise):
-                trial_mean_estimates(config, trials, k)
+                streamed_trial_mean_estimates(config, trials, k)
             continue
         with mock.patch.object(engine, "NOISE_CHUNK", noise):
-            nodes, mean, stderr = trial_mean_estimates(config, trials, k)
+            nodes, mean, stderr = streamed_trial_mean_estimates(config, trials, k)
         assert nodes == want[0]
         assert np.array_equal(bits(mean), bits(want[1]))
         assert np.array_equal(bits(stderr), bits(want[2]))

@@ -8,7 +8,8 @@ They were the package's Monte Carlo path until `metrics` began streaming the
 batch through chunk buffers, and are kept here verbatim (only renamed, with
 their own copy of the window sums) so that `test_streaming.py` and
 `test_invariance.py` can check the streamed statistics against them bit for
-bit, whatever the chunk size.
+bit, whatever the chunk size. `streamed_trial_mean_estimates` reads the
+per-node means from the streamed chunks themselves.
 """
 from __future__ import annotations
 
@@ -16,9 +17,14 @@ import math
 
 import numpy as np
 
+from ringsum import metrics
 from ringsum.engine import simulate
-from ringsum.metrics import ErrorAggregate, PhaseWindows, WindowNotFullError
+from ringsum.metrics import ErrorAggregate, PhaseWindows
 from ringsum.model import ProtocolConfig
+
+
+class WindowNotFullError(ValueError):
+    """No full window ends at the step asked for."""
 
 
 def _windows(stretches) -> list[PhaseWindows]:
@@ -97,6 +103,21 @@ def oracle_trial_mean_estimates(
             y = p.y[:, int(idx[0]), :]
             return p.order, y.mean(axis=0), y.std(axis=0, ddof=1) / math.sqrt(trials)
     raise WindowNotFullError(f"no full window ends at k={k_end}")
+
+
+def streamed_trial_mean_estimates(config: ProtocolConfig, trials: int, k_end: int):
+    """oracle_trial_mean_estimates, from the chunks that `metrics._stream` hands on."""
+    found = []
+
+    def take(phase, ks, y):
+        if not found and (idx := np.flatnonzero(ks == k_end)).size:
+            y_k = y[:, int(idx[0]) - len(ks)]
+            found.append((phase.order, y_k.mean(axis=0), y_k.std(axis=0, ddof=1) / math.sqrt(trials)))
+
+    metrics._stream(config, trials, take)
+    if not found:
+        raise WindowNotFullError(f"no full window ends at k={k_end}")
+    return found[0]
 
 
 def bits(values) -> np.ndarray:
