@@ -86,11 +86,14 @@ def utility_bound(agg: ScheduleAggregates, n: int) -> float:
 
 
 def variance_bound(agg: ScheduleAggregates, n: int) -> float:
-    """Asymptotic bound on sum_i var(y_i(k))."""
+    """Asymptotic bound on sum_i var(y_i(k)); inf where c**2 overflows."""
     check_ring(n)
-    if agg.family is Family.HARMONIC:
-        return agg.c_M**2 * math.pi**2 * n**2 / 3.0
-    return max(2.0 * n**2 * c**2 / (1.0 - phi**2) for c, phi in agg.pairs)
+    try:
+        if agg.family is Family.HARMONIC:
+            return agg.c_M**2 * math.pi**2 * n**2 / 3.0
+        return max(2.0 * n**2 * c**2 / (1.0 - phi**2) for c, phi in agg.pairs)
+    except OverflowError:  # a float's ** raises where its * gives inf
+        return math.inf
 
 
 # -- privacy budget ----------------------------------------------------------

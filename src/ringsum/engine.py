@@ -9,8 +9,8 @@ The dynamics act alike on every Monte Carlo trial and each noise draw is a
 pure function of (seed, node, k, trial), so `simulate` advances all trials
 as one (trials, n) state, phase by phase. It only stores the states, in
 whole-phase buffers or in shorter ones that it hands back chunk by chunk
-(drawing the next chunk's noise on a helper thread while the caller reduces
-the last one), and hands each round's messages to a callback; its views are
+(the caller reduces the last chunk while the noise pool draws the next),
+and hands each round's messages to a callback; its views are
 `run_si` (one trial's states), the streamed Monte Carlo windows in `metrics`
 and the DP audit's message traces in `analysis`, the one reader of the
 messages. `_drift` folds the member-sum drift for the views that report it.
@@ -38,7 +38,6 @@ accounting mirrors.
 """
 from __future__ import annotations
 
-import contextvars
 import math
 from dataclasses import dataclass, replace
 from functools import partial
@@ -46,13 +45,13 @@ from functools import partial
 import numpy as np
 
 from .model import ConfigError, Phase, ProtocolConfig
-from .noise import NoiseSource, helper
+from .noise import NoiseSource
 
 # Noise values drawn per sampling call: bounds the betas buffer while
 # keeping a few hundred rounds per call at 1000 states. The noise source
-# cuts each call into cache-sized blocks for its threads. The Monte Carlo
-# buffers fill where a call's rounds end, so each call after the first is
-# made while the caller reduces the rounds of the one before.
+# cuts each call into cache-sized blocks for its threads. A phase whose
+# states buffer is shorter than the phase draws as many rounds per call as
+# the buffer holds, even where that is more than this.
 NOISE_CHUNK = 1 << 18
 
 
@@ -61,14 +60,16 @@ def chunk_rounds(trials: int, n: int) -> int:
     return max(1, NOISE_CHUNK // (trials * n))
 
 
-def noise_block(source, dist, order, schedules, ks, trials, node_major=False) -> np.ndarray:
-    """beta for every step in `ks`, trial and member: shape (len(ks), trials, n)."""
+def noise_block(source, dist, order, schedules, ks, trials, node_major=False, out=None,
+                beside=lambda: None) -> np.ndarray:
+    """beta for every step in `ks`, trial and member: shape (len(ks), trials, n),
+    drawn while beside() runs, into `out` if given ((len(ks), n, trials) if node-major)."""
     ks = np.asarray(ks, dtype=np.uint64)
     scales = np.stack([s.scale(ks) for s in schedules], axis=1)[:, None, :]
     nodes, trials = np.array(order, dtype=np.uint64)[None, None], np.reshape(trials, (1, -1, 1))
     axes = (0, 2, 1) if node_major else (0, 1, 2)  # drawn as (len(ks), n, trials) if node-major
     coords = (x.transpose(axes) for x in (nodes, ks[:, None, None], trials, scales))
-    return source.sample(*coords, dist).transpose(axes)
+    return source.sample(*coords, dist, out=out, beside=beside).transpose(axes)
 
 
 def _round(x, beta, order, out, leaver=None, secret=0.0):
@@ -101,21 +102,6 @@ def _drift(phases, states) -> float:
     return max_drift
 
 
-def _beside(draw, work=lambda: None):
-    """draw(), made on the noise helper thread while this thread runs work().
-
-    The draw runs in a copy of this thread's context, so numpy's error state
-    holds there too. An error of work() is raised once the draw has
-    finished; one of the draw, after work() returns.
-    """
-    drawn = helper().submit(contextvars.copy_context().run, draw)
-    try:
-        work()
-    finally:
-        drawn.exception()  # waits for the draw
-    return drawn.result()
-
-
 def simulate(config: ProtocolConfig, trials: int, states, first_trial: int = 0,
              record=None, flush=None) -> None:
     """Run trials first_trial .. first_trial + trials - 1 of `config` together.
@@ -127,10 +113,10 @@ def simulate(config: ProtocolConfig, trials: int, states, first_trial: int = 0,
     rows go to `flush(p, t, rows)`, rows[i] being phase p's state at step
     start_k + t + i, and the last of them becomes row 0 of the next chunk;
     the phase's last rows go to `flush` when it ends. `flush` may overwrite
-    the rows it is handed. If a buffer is full where a noise chunk starts,
-    that chunk is drawn beside the `flush` (see `_beside`); a draw's values
-    do not depend on when it runs. `record(k, senders, d)`, if given,
-    receives each round's delivered messages, d of shape (trials, len(senders)).
+    the rows it is handed. Such a phase draws a buffer's rounds of noise at
+    a time, each draw after the first beside the flush of the full buffer;
+    a draw's values do not depend on when it runs. `record(k, senders, d)`,
+    if given, receives each round's messages, d of shape (trials, len(senders)).
     """
     phases = config.phases()
     source = NoiseSource(config.rng_seed)
@@ -144,35 +130,28 @@ def simulate(config: ProtocolConfig, trials: int, states, first_trial: int = 0,
         out[0] = x
         last = phase.stop_k - phase.start_k
         rounds = last + (phase.leaver is not None)
-        chunk = chunk_rounds(trials, phase.n)
         chunked = len(out) <= last  # the buffer is shorter than the phase
+        chunk = len(out) - 1 if chunked else chunk_rounds(trials, phase.n)
+        # Drawn in the memory order of the caller's rows, so that the
+        # hand-off's operands line up; one trial keeps the trial-major draw,
+        # whatever the strides of its (1, n) rows. Every chunk of the phase
+        # is drawn into one buffer.
+        node_major = trials > 1 and out[0].strides[0] < out[0].strides[1]
+        drawn = (phase.n, trials) if node_major else (trials, phase.n)
+        noise = np.empty((min(chunk, rounds), *drawn))
         t = 0  # the phase row in out[0]
         for c0 in range(0, rounds, chunk):
             ks = np.arange(phase.start_k + c0, phase.start_k + min(c0 + chunk, rounds))
-            # Drawn in the memory order of the caller's rows, so that the
-            # hand-off's operands line up; one trial keeps the trial-major
-            # draw, whatever the strides of its (1, n) rows.
             draw = partial(noise_block, source, config.distribution, phase.order, phase.schedules,
-                           ks, trial_ids, trials > 1 and out[0].strides[0] < out[0].strides[1])
-            betas = None  # free the last chunk's noise before the next is drawn
-            if c0 < last and c0 - t + 1 == len(out):
-                # The buffer is full where the chunk starts: flush it while
-                # the chunk's noise is drawn.
+                           ks, trial_ids, node_major, out=noise[: len(ks)])
+            if chunked and 0 < c0 < last:
+                # The buffer is full: flush it while the chunk's noise is drawn.
                 x = out[-1].copy()
-                betas = _beside(draw, partial(flush, p, t, out))
+                betas = draw(beside=partial(flush, p, t, out))
                 out[0], t = x, c0
-            elif chunked:
-                # On the helper too: then all of a chunked phase's noise
-                # comes from the helper's allocator arena, none from this
-                # thread's, where the flush makes its temporaries.
-                betas = _beside(draw)
             else:
                 betas = draw()
             for r in range(c0, min(c0 + chunk, last)):
-                if r - t + 1 == len(out):
-                    x = out[-1].copy()
-                    flush(p, t, out)
-                    out[0], t = x, r
                 record(phase.start_k + r,
                        *_round(out[r - t], betas[r - c0], phase.order, out[r - t + 1]))
         x = out[last - t].copy()
@@ -206,18 +185,6 @@ class RunResult:
     max_rel_drift: float
     start_shift_applied: bool
     k: int
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.phases[-1][1][-1]
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return self.phases[-1][0].order
-
-    @property
-    def target(self) -> float:
-        return self.phases[-1][0].target
 
 
 def run_si(config: ProtocolConfig, trial: int = 0) -> RunResult:

@@ -13,11 +13,12 @@ phase (trials-major with membership events, step-major without), the window
 sums are formed in place there, carrying the last cumulative sums from chunk
 to chunk, and each chunk is reduced over trials before the next overwrites
 it. A buffer holds a noise chunk's rounds (but at least n) and the state
-before them, so unless n rounds are more than a noise chunk, it is full
-where a noise chunk starts, and is reduced while that chunk is drawn.
-Memory does not grow with the number of steps. A single run's states are
-read-only, so its window sums work on a copy; `window_sums` returns one
-series per phase of the run, empty for a phase of fewer than n states.
+before them. The engine draws that many rounds of noise at a time, into
+one buffer per phase, and each full chunk is reduced here while the noise
+pool draws the next; memory does not grow with the number of steps. A
+single run's states are read-only, so its window sums work on a copy;
+`window_sums` returns one series per phase of the run, empty for a phase
+of fewer than n states.
 """
 from __future__ import annotations
 

@@ -12,9 +12,10 @@ and shares the blocks of a larger call out over a pool of up to
 min(4, CPUs) threads (numpy releases the GIL inside its loops). A value
 depends only on its coordinates, and every value goes through the same
 operations in the same order, so the bits depend on neither the block size,
-the thread count nor when or on which thread a call runs: `engine.simulate`
-makes the calls of a chunked run on `helper()`, beside other work, and that
-thread hands its blocks to the pool like any caller.
+the thread count nor when a call runs. A call may write into the caller's
+`out` array, and may run the caller's `beside()` on the calling thread
+while the pool fills the blocks: `engine.simulate` reduces the last chunk
+of states there while the next chunk's noise is drawn.
 
 Slot assignment per (node, step, trial):
   0, 1  - the protocol noise draw (two uniforms feed Box-Muller),
@@ -51,7 +52,6 @@ _SQRT3 = math.sqrt(3.0)
 NOISE_BLOCK = 1 << 16
 
 _POOL = None  # the ThreadPoolExecutor of _pool()
-_HELPER = None  # the one-thread executor of helper()
 _POOL_LOCK = threading.Lock()
 
 
@@ -68,37 +68,23 @@ def _pool():
         return _POOL
 
 
-def helper():
-    """One thread, created on first use, that draws while its caller does
-    other work. It is no block worker, so the blocks it hands to the pool
-    never wait behind it. It lives as long as the process: the allocator
-    gives each thread an arena of its own, which keeps the buffers a thread
-    frees for that thread's next draw, and a fresh thread per draw could be
-    handed a fresh arena."""
-    global _HELPER
-    with _POOL_LOCK:
-        if _HELPER is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _HELPER = ThreadPoolExecutor(1, thread_name_prefix="ringsum-draw")
-        return _HELPER
-
-
 def _forget_pool() -> None:
-    # A forked child inherits the executors but not their threads.
-    global _POOL, _HELPER
-    _POOL = _HELPER = None
+    # A forked child inherits the executor but not its threads.
+    global _POOL
+    _POOL = None
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def run_tasks(task, items: list, scratch=lambda: None) -> list:
-    """[task(item, buf) for item in items], on the pool if there are several;
-    `buf` is None without `scratch`."""
-    if len(items) == 1:
-        return [task(items[0], scratch())]
+def run_tasks(task, items: list, scratch=lambda: None, beside=lambda: None) -> list:
+    """[task(item, buf) for item in items], on the pool if there are several,
+    while this thread runs beside(); `buf` is None without `scratch`. Every
+    task finishes before an error is raised, and one of beside() goes first."""
+    if len(items) <= 1:
+        beside()
+        return [task(item, scratch()) for item in items]
     # `buf` is the running thread's own `scratch()`, made on its first task.
     pool, held = _pool(), threading.local()
 
@@ -110,8 +96,11 @@ def run_tasks(task, items: list, scratch=lambda: None) -> list:
     # Each task runs in a copy of the caller's context, so the caller's numpy
     # error state holds in the workers too.
     futures = [pool.submit(contextvars.copy_context().run, run, item) for item in items]
-    for future in futures:  # every task finishes before the first error is raised
-        future.exception()
+    try:
+        beside()
+    finally:
+        for future in futures:
+            future.exception()  # waits for the task
     return [future.result() for future in futures]
 
 
@@ -206,33 +195,37 @@ def _fill(out, idx, buf, prefix, trial, slot_keys, kind, param) -> None:
         np.divide(o, p, out=o)
 
 
-def _draw(seed: int, node, k, trial, slots, kind, param) -> np.ndarray:
+def _draw(seed: int, node, k, trial, slots, kind, param, out=None, beside=lambda: None):
     """Draws of `kind` ("clock" or a Distribution) broadcast over the
-    coordinates and `param`, in an array of at least one dimension. The
-    Gaussian takes two slots, the other kinds one."""
+    coordinates and `param`, in an array of at least one dimension (`out`,
+    C-contiguous float64 of that shape, if given), while beside() runs (see
+    `run_tasks`). The Gaussian takes two slots, the other kinds one."""
     operands = [*(np.asarray(x, dtype=np.uint64) for x in (node, k, trial, *slots)),
                 np.asarray(param)]
     shape = np.broadcast(*operands).shape or (1,)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
     node, k, trial, *slots, param = (x.reshape((1,) * (len(shape) - x.ndim) + x.shape)
                                      for x in operands)
-    out = np.empty(shape)
-    if out.size:
-        prefix = np.full(np.broadcast(node, k).shape, seed & _MASK64, np.uint64)
-        with np.errstate(over="ignore"):
-            np.add(prefix, _GOLDEN, out=prefix)
-            tmp = np.empty_like(prefix)
+    prefix = np.full(np.broadcast(node, k).shape, seed & _MASK64, np.uint64)
+    with np.errstate(over="ignore"):
+        np.add(prefix, _GOLDEN, out=prefix)
+        tmp = np.empty_like(prefix)
+        _fmix64(prefix, tmp)
+        for part in (node, k):
+            np.bitwise_xor(prefix, _key(part), out=prefix)
             _fmix64(prefix, tmp)
-            for part in (node, k):
-                np.bitwise_xor(prefix, _key(part), out=prefix)
-                _fmix64(prefix, tmp)
-            slot_keys = [_key(slot) for slot in slots]
-        size = min(out.size, NOISE_BLOCK)
-        # Each worker makes its buffers: its arena keeps them when they are
-        # freed, for its next call. Buffers the calling thread made would go
-        # back to the system and fault in again on every call.
-        run_tasks(lambda idx, buf: _fill(out, idx, buf, prefix, trial, slot_keys, kind, param),
-                  list(_blocks(out.shape, NOISE_BLOCK)),
-                  lambda: (np.empty(size, np.uint64), np.empty(size, np.uint64), np.empty(size)))
+        slot_keys = [_key(slot) for slot in slots]
+    size = min(out.size, NOISE_BLOCK)
+    # Each worker makes its buffers: its arena keeps them when they are
+    # freed, for its next call. Buffers the calling thread made would go
+    # back to the system and fault in again on every call.
+    run_tasks(lambda idx, buf: _fill(out, idx, buf, prefix, trial, slot_keys, kind, param),
+              list(_blocks(out.shape, NOISE_BLOCK)) if out.size else [],
+              lambda: (np.empty(size, np.uint64), np.empty(size, np.uint64), np.empty(size)),
+              beside)
     return out
 
 
@@ -242,8 +235,9 @@ class NoiseSource:
 
     master_seed: int
 
-    def sample(self, node, k, trial, scale, dist: Distribution) -> np.ndarray:
-        """Zero-mean sample(s) at the given scale.
+    def sample(self, node, k, trial, scale, dist: Distribution, out=None,
+               beside=lambda: None) -> np.ndarray:
+        """Zero-mean sample(s) at the given scale, with `out` and `beside` as in `_draw`.
 
         Gaussian / symmetric-uniform treat `scale` as the standard deviation;
         Laplace treats it as the scale parameter b (variance 2 b**2).
@@ -256,7 +250,7 @@ class NoiseSource:
         elif dist is not Distribution.GAUSSIAN:  # pragma: no cover - enum is closed
             raise ValueError(f"unknown distribution {dist}")
         slots = (SLOT_BETA, SLOT_BETA_AUX) if dist is Distribution.GAUSSIAN else (SLOT_BETA,)
-        return _draw(self.master_seed, node, k, trial, slots, dist, scale)
+        return _draw(self.master_seed, node, k, trial, slots, dist, scale, out, beside)
 
     def clock_gap(self, node, tick_index, trial, rate: float) -> np.ndarray:
         """Exponential inter-tick gap with the given Poisson rate."""

@@ -51,13 +51,17 @@ class TradeoffSolution:
     kkt_residual: float
 
 
+def _coefficients(p: TradeoffProblem) -> tuple[float, float, float]:
+    """(a, b, e) of the cubic g(theta) = a theta^3 + b theta^2 - e."""
+    return (4.0 * p.gamma_a * math.pi**2 * p.n**2,
+            math.sqrt(6.0) * p.gamma_u * math.pi * p.n**1.5,
+            3.0 * p.gamma_p * p.delta * p.K * (p.K - 1))
+
+
 def cubic(p: TradeoffProblem, theta: float) -> float:
     """g(theta); its unique positive root is the optimal common magnitude."""
-    return (
-        4.0 * p.gamma_a * math.pi**2 * p.n**2 * theta**3
-        + math.sqrt(6.0) * p.gamma_u * math.pi * p.n**1.5 * theta**2
-        - 3.0 * p.gamma_p * p.delta * p.K * (p.K - 1)
-    )
+    a, b, e = _coefficients(p)
+    return a * theta**3 + b * theta**2 - e
 
 
 def _cubic_derivative(p: TradeoffProblem, theta: float) -> float:
@@ -69,9 +73,8 @@ def _cubic_derivative(p: TradeoffProblem, theta: float) -> float:
 
 def upper_bracket(p: TradeoffProblem) -> float:
     """An analytic c with g(c) > 0 (cubic term alone already dominates)."""
-    return (
-        3.0 * p.gamma_p * p.delta * p.K * (p.K - 1) / (4.0 * p.gamma_a * math.pi**2 * p.n**2)
-    ) ** (1.0 / 3.0) + 1.0
+    a, _, e = _coefficients(p)
+    return (e / a) ** (1.0 / 3.0) + 1.0
 
 
 def objective_harmonic(p: TradeoffProblem, c: float, d: float) -> float:
@@ -91,6 +94,8 @@ def solve_harmonic(p: TradeoffProblem) -> TradeoffSolution:
             "objective is minimized only in the c -> 0 limit"
         )
     lo, hi = 0.0, upper_bracket(p)
+    if not all(map(math.isfinite, (*_coefficients(p), hi))):
+        raise ConfigError(f"the tradeoff cubic's coefficients or bracket overflow a double for {p}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if cubic(p, mid) < 0.0:
@@ -102,6 +107,8 @@ def solve_harmonic(p: TradeoffProblem) -> TradeoffSolution:
     c = 0.5 * (lo + hi)
     for _ in range(3):  # Newton polish; g' > 0 everywhere on (0, inf)
         c -= cubic(p, c) / _cubic_derivative(p, c)
+    if not math.isfinite(c):
+        raise ConfigError(f"the tradeoff cubic has no finite root for {p}")
 
     # Stationarity of the two-variable form at the diagonal point (c, c):
     # the gradient components must agree up to sign with one multiplier.

@@ -135,7 +135,7 @@ def bits(values) -> np.ndarray:
 
 def assert_same_run(run, ref) -> None:
     assert run.k == ref.k
-    assert np.array_equal(bits(run.x), bits(ref.x))
+    assert np.array_equal(bits(run.phases[-1][1][-1]), bits(ref.x))
     assert np.array_equal(bits(run.max_rel_drift), bits(ref.max_rel_drift))
     assert [(p.start_k, p.order, p.target) for p, _ in run.phases] == [
         (s.start_k, s.order, s.target) for s in ref.segments

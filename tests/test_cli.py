@@ -1,5 +1,6 @@
 """End-to-end command-line behavior and scenario parsing."""
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -373,6 +374,24 @@ class TestThinSubcommands:
         assert captured.err == f"error: a ring needs at least 3 members, got {n}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, out", [
+        (["--family", "harmonic", "--c", "1e300", "--d", "1", "--n", "3"],
+         "utility_bound 6.66432440723755e+300\nvariance_bound inf\n"),
+        (["--family", "geometric", "--c", "1e300", "--phi", "0.9", "--n", "1000"],
+         "utility_bound 7.254762501100117e+304\nvariance_bound inf\n"),
+        # Finite bounds keep their bytes, also near the largest double.
+        (["--family", "harmonic", "--c", "1000", "--d", "1", "--n", "10"],
+         "utility_bound 40557.78675973611\nvariance_bound 328986813.36964524\n"),
+        (["--family", "geometric", "--c", "1e150", "--phi", "0.9", "--n", "1000"],
+         "utility_bound 7.254762501100118e+154\nvariance_bound 1.0526315789473686e+307\n"),
+    ], ids=["harmonic-overflow", "geometric-overflow", "harmonic", "geometric-near-overflow"])
+    def test_bounds_past_the_largest_double_print_inf(self, capsys, argv, out):
+        # c**2 overflows a double, as `ringsum budget`'s sum can: inf, not a traceback.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bounds", *argv]) == 0
+        assert capsys.readouterr() == (out, "")
+
     def test_budget_reference_value(self, capsys):
         code = main(
             ["budget", "--family", "geometric", "--c", "1", "--phi", "0.5",
@@ -442,6 +461,34 @@ class TestThinSubcommands:
         values = dict(line.split() for line in capsys.readouterr().out.splitlines())
         sol = solve_harmonic(TradeoffProblem(1, 1, 1, 3, 1.0, 2))
         assert float(values["c_star"]) == sol.c_star
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "3", "--delta", "1e300", "--K", "100000"],
+        ["--n", "3", "--delta", "1", "--K", "4", "--ga", "1e308"],
+        ["--n", "3", "--delta", "1", "--K", "4", "--gu", "1e306", "--ga", "1e-300"],
+    ], ids=["constant", "leading-coefficient", "root"])
+    def test_tradeoff_past_the_largest_double_is_an_error(self, capsys, argv):
+        # Each printed c_star nan and five more nan lines, with exit status 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["tradeoff", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the tradeoff cubic") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, out", [
+        (["--n", "7", "--delta", "2.5", "--K", "1000"],
+         "c_star 15.67996326548599\nd_star 0.0\nobjective 119646.00671788218\nresidual 0.0\n"
+         "kkt_multiplier 5079.084280758621\nobjective_at_feasible_d1 119805.44586692043\n"),
+        # Finite, if far from the root: the bisection cannot resolve it.
+        (["--n", "3", "--delta", "1", "--K", "4", "--gu", "1e306", "--ga", "1e-10"],
+         "c_star 5.450201335450678e-17\nd_star 0.0\nobjective 3.632190978420264e+290\n"
+         "residual 1.1877703272718815e+275\nkkt_multiplier 6.66432440723755e+306\n"
+         "objective_at_feasible_d1 3.632190978420264e+290\n"),
+    ], ids=["reference", "finite-near-overflow"])
+    def test_finite_tradeoff_outputs_keep_their_bytes(self, capsys, argv, out):
+        assert main(["tradeoff", *argv]) == 0
+        assert capsys.readouterr() == (out, "")
 
     def test_unknown_subcommand_exits_with_usage(self):
         with pytest.raises(SystemExit) as excinfo:

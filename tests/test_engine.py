@@ -45,11 +45,11 @@ class TestSynchronousStep:
     def test_zero_noise_step_rotates_states(self):
         run = run_si(_config([3.0, 1.0, 2.0], ZERO, steps=1))
         # With no masking noise each node hands its full state to its successor.
-        assert list(run.x) == [2.0, 3.0, 1.0]
+        assert list(run.phases[-1][1][-1]) == [2.0, 3.0, 1.0]
 
     def test_zero_noise_full_cycle_returns_initial_states(self):
         run = run_si(_config([3.0, 1.0, 2.0], ZERO, steps=3))
-        assert list(run.x) == [3.0, 1.0, 2.0]
+        assert list(run.phases[-1][1][-1]) == [3.0, 1.0, 2.0]
 
     def test_matches_matrix_dynamics(self):
         cfg = _config([1.0, 2.0, 3.0, 4.0, 5.0], steps=50, seed=11)
@@ -62,7 +62,7 @@ class TestSynchronousStep:
             scale = cfg.schedules[0].scale(np.array([k]))[0]
             beta = src.sample(nodes, k, 0, scale, cfg.distribution)
             x = a @ x + (np.eye(5) - a) @ beta
-        assert np.allclose(x, run.x, rtol=0, atol=1e-12)
+        assert np.allclose(x, run.phases[-1][1][-1], rtol=0, atol=1e-12)
 
     def test_geometric_draws_take_the_python_power(self, monkeypatch):
         # On AVX-512, np.power(0.9, k) and 0.9**k differ in the last bit at
@@ -72,8 +72,8 @@ class TestSynchronousStep:
                       steps=41, seed=11)
         drawn, sample = [], NoiseSource.sample
 
-        def recording_sample(self, *args):
-            drawn.append(sample(self, *args))
+        def recording_sample(self, *args, **kw):
+            drawn.append(sample(self, *args, **kw))
             return drawn[-1]
 
         monkeypatch.setattr(NoiseSource, "sample", recording_sample)
@@ -96,11 +96,12 @@ class TestSynchronousStep:
     def test_same_trial_reproduces_bit_exactly(self):
         cfg = _config([1.0, 2.0, 3.0], steps=30, seed=5)
         a, b = run_si(cfg, trial=2), run_si(cfg, trial=2)
-        assert np.array_equal(a.x, b.x)
+        assert np.array_equal(a.phases[-1][1], b.phases[-1][1])
 
     def test_different_trials_differ(self):
         cfg = _config([1.0, 2.0, 3.0], steps=30, seed=5)
-        assert not np.array_equal(run_si(cfg, trial=0).x, run_si(cfg, trial=1).x)
+        assert not np.array_equal(run_si(cfg, trial=0).phases[-1][1][-1],
+                                  run_si(cfg, trial=1).phases[-1][1][-1])
 
     def test_conservation_across_distributions(self):
         for dist in Distribution:
@@ -121,15 +122,16 @@ class TestSynchronousStep:
         )
         for _ in range(10):
             si_step(manual)
-        assert np.array_equal(manual.x, auto.x)
+        assert np.array_equal(manual.x, auto.phases[-1][1][-1])
 
 
 class TestLeave:
     def test_member_sum_drops_by_leaver_secret(self):
         cfg = _config([1.0, 2.0, 3.0, 4.0], steps=6, events=(Leave(3, node=2),))
         run = run_si(cfg)
-        assert run.members == (1, 3, 4)
-        assert run.target == pytest.approx(8.0)
+        phase, _ = run.phases[-1]
+        assert phase.order == (1, 3, 4)
+        assert phase.target == pytest.approx(8.0)
         assert run.max_rel_drift <= 1e-12
 
     def test_leave_round_emits_one_fewer_message(self):
@@ -147,7 +149,8 @@ class TestLeave:
         cfg = _config([1.0, 2.0, 3.0, 4.0], ZERO, steps=1, events=(Leave(0, node=3),))
         run = run_si(cfg)
         # node 2 (predecessor) keeps x=2 and receives node 1's full state 1.
-        assert run.x[run.members.index(2)] == 3.0
+        phase, states = run.phases[-1]
+        assert states[-1][phase.order.index(2)] == 3.0
 
     # The replay oracle rejects what `ProtocolConfig.phases()` and the kernel
     # reject for the library.
@@ -166,8 +169,9 @@ class TestJoin:
     def test_join_adds_secret_to_target(self):
         cfg = _config([1.0, 2.0, 3.0], steps=6, events=(Join(2, 9, anchor=1, secret=5.0),))
         run = run_si(cfg)
-        assert run.members == (1, 9, 2, 3)
-        assert run.target == pytest.approx(11.0)
+        phase, _ = run.phases[-1]
+        assert phase.order == (1, 9, 2, 3)
+        assert phase.target == pytest.approx(11.0)
         assert run.max_rel_drift <= 1e-12
 
     # Each node gets its own schedule, so the one a joiner ends up with names
@@ -225,7 +229,7 @@ class TestAsynchronous:
         cfg = _config([3.0, 1.0, 2.0], ZERO, steps=1)
         order = [1, 2, 3] * 4
         run = run_ai(cfg, rate=1.0, horizon=99.0, tick_order=order)
-        assert run.x.sum() == pytest.approx(6.0)
+        assert run.phases[-1][1][-1].sum() == pytest.approx(6.0)
         assert run.max_rel_drift <= 1e-12
 
     def test_poisson_run_conserves_sum(self):

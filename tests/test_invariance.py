@@ -280,7 +280,7 @@ def test_node_major_states_equal_trial_major_ones(pools, dist, layout, workers):
         with mock.patch.object(noise, "NOISE_BLOCK", 1 << 6), \
                 mock.patch.object(noise, "_POOL", pools[workers]), \
                 mock.patch.object(engine, "noise_block",
-                                  lambda *args: orders.append(args[-1]) or block(*args)):
+                                  lambda *args, **kw: orders.append(args[6]) or block(*args, **kw)):
             engine.simulate(config, trials, trial_major, 3, record=_record_into(want))
             engine.simulate(config, trials, node_major, 3, record=_record_into(got))
         assert orders == [False] * len(phases) + [True] * len(phases)
@@ -335,9 +335,12 @@ def test_chunked_statistics_keep_the_order_of_each_sum(layout, windows):
     rng = np.random.default_rng(windows)
     wide = rng.standard_normal((steps + 1, 40, 4)) * 10.0 ** rng.uniform(-8, 8, (steps + 1, 40, 4))
 
-    def wide_noise(source, dist, order, schedules, ks, trials, node_major=False):
-        return wide[np.asarray(ks, dtype=np.intp)][:, trials.ravel().astype(np.intp)][
+    def wide_noise(source, dist, order, schedules, ks, trials, node_major=False, out=None,
+                   beside=lambda: None):
+        beside()
+        out[...] = wide[np.asarray(ks, dtype=np.intp)][:, trials.ravel().astype(np.intp)][
             :, :, np.array(order) - 1]
+        return out
 
     def noise_round(x, beta, order, out, leaver=None, secret=0.0):
         out[...] = beta
