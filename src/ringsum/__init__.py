@@ -39,12 +39,12 @@ from .analysis import (
 )
 from .tradeoff import (
     DegenerateTradeoffError,
-    GeometricSurface,
+    GeometricSolution,
     TradeoffProblem,
     TradeoffSolution,
-    explore_geometric,
     objective_geometric,
     objective_harmonic,
+    solve_geometric,
     solve_harmonic,
 )
 

@@ -137,11 +137,15 @@ def epsilon_total(
         shifted = total if agg.start_shifted else None
         return PrivacyBudget(total, log_total, shifted)
 
-    log_base = math.log(delta / agg.c_m)
+    # Where a quotient or product leaves the doubles, its log is a sum of logs.
+    base = delta / agg.c_m
+    log_base = math.log(base) if 0 < base < math.inf else math.log(delta) - math.log(agg.c_m)
     if agg.family is Family.HARMONIC:
-        total = delta / agg.c_m * K * ((K - 1) / 2.0 + agg.d_M)
-        arg = K * ((K - 1) / 2.0 + agg.d_M)
-        log_total = log_base + (math.log(arg) if arg > 0 else -math.inf)
+        half_span = (K - 1) / 2.0 + agg.d_M
+        total = base * K * half_span
+        arg = K * half_span
+        log_total = log_base + (math.log(arg) if 0 < arg < math.inf else
+                                math.log(K) + math.log(half_span) if arg else -math.inf)
     else:
         phi = agg.phi_m
         log_total = (

@@ -64,7 +64,7 @@ def log_per_step(agg: ScheduleAggregates, delta: float, K: int) -> np.ndarray:
     if delta == 0 or agg.c_m == 0:
         return np.full(K, -math.inf if delta == 0 else math.inf)
     ks = np.arange(K, dtype=np.float64)
-    log_base = math.log(delta / agg.c_m)
+    log_base = math.log(delta) - math.log(agg.c_m)
     if agg.family is Family.HARMONIC:
         with np.errstate(divide="ignore"):
             return log_base + np.log(ks + agg.d_M)

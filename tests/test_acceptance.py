@@ -12,7 +12,7 @@ Criteria:
   4. estimator unbiasedness on the same parameter grid
   5. per-step privacy budgets compose to the closed-form totals
   6. empirical likelihood-ratio audit stays within the privacy budget
-  7. tradeoff cubic solver against an independent bisection oracle
+  7. harmonic tradeoff solver against a bisection oracle on the paper's objective
   8. structural oracles: circulant identities, covariance-trace bound,
      matrix-form dynamics equivalence
 """
@@ -41,7 +41,6 @@ from ringsum import (
     variance_bound,
 )
 from ringsum.cli import load_scenario
-from ringsum.tradeoff import cubic, upper_bracket
 from lemma_oracles import (
     circulant_identities,
     composed_total,
@@ -237,11 +236,21 @@ def test_acceptance_6_dp_audit(schedule, K, delta):
 
 
 def _bisection_oracle(p: TradeoffProblem) -> float:
-    """Deliberately naive interval bisection, independent of the solver."""
-    lo, hi = 0.0, upper_bracket(p)
+    """Deliberately naive interval bisection, independent of the solver: the
+    zero of the slope of gamma_u U + gamma_a V + gamma_p epsilon at d = 0,
+    with U = c pi n sqrt(n/6), V = c^2 pi^2 n^2 / 3, epsilon = delta K (K-1) / (2c)."""
+
+    def slope(c):
+        return (p.gamma_u * math.pi * p.n * math.sqrt(p.n / 6.0)
+                + 2.0 * p.gamma_a * c * math.pi**2 * p.n**2 / 3.0
+                - p.gamma_p * p.delta * p.K * (p.K - 1) / (2.0 * c**2))
+
+    lo, hi = 0.0, 1.0
+    while slope(hi) < 0.0:
+        hi *= 2.0
     for _ in range(200):
         mid = (lo + hi) / 2.0
-        if cubic(p, mid) < 0.0:
+        if slope(mid) < 0.0:
             lo = mid
         else:
             hi = mid

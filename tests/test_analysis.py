@@ -129,6 +129,17 @@ class TestPrivacyBudget:
         assert math.isinf(per_step(agg, 1.0, 10_000)[-1])  # raw terms overflow by design
         assert log_composed_total(agg, 1.0, 10_000) == pytest.approx(budget.log_total, rel=1e-12)
 
+    @pytest.mark.parametrize("schedule, delta, K, total", [
+        (NoiseSchedule.harmonic(1e300, 1.0), 1e-300, 5, 0.0),
+        (NoiseSchedule.geometric(1e-300, 0.5), 1e300, 5, math.inf),
+        (NoiseSchedule.harmonic(1.0, 1e308), 1.0, 1000, math.inf),
+    ], ids=["quotient-underflow", "quotient-overflow", "product-overflow"])
+    def test_log_budget_past_the_doubles(self, schedule, delta, K, total):
+        # delta / c or K ((K - 1) / 2 + d) leaves the doubles; its log is a sum of logs.
+        budget = epsilon_total(_agg(schedule), delta, K, Distribution.LAPLACE)
+        assert budget.total == total
+        assert budget.log_total == pytest.approx(log_composed_total(_agg(schedule), delta, K), rel=1e-12)
+
     @pytest.mark.parametrize("schedule", [NoiseSchedule.harmonic(3.0, 2.0),
                                           NoiseSchedule.geometric(2.0, 0.5)])
     def test_budget_memory_does_not_grow_with_k(self, schedule):

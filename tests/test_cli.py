@@ -1,4 +1,6 @@
 """End-to-end command-line behavior and scenario parsing."""
+import itertools
+import math
 import textwrap
 import warnings
 from pathlib import Path
@@ -351,12 +353,28 @@ class TestSimulateCommand:
             "errors.csv", "summary.txt", "trajectories.csv"]
         assert "EPSILON delta 1.0 K 40 total inf" in (out_dir / "summary.txt").read_text()
 
+    def test_budget_whose_quotient_underflows_reads_zero(self, tmp_path, monkeypatch):
+        # log(delta / c) of 1e-300 / 1e300 once raised: a traceback, status 1.
+        monkeypatch.setenv("RINGSUM_OUT", str(tmp_path / "out"))
+        body = BASIC.replace("family = geometric\n    c = 1.0\n    phi = 0.5",
+                             "family = harmonic\n    c = 1e300\n    d = 1")
+        cfg = _write_scenario(tmp_path, body)
+        assert main(["simulate", "--config", str(cfg), "--trials", "1", "--delta", "1e-300"]) in (0, 1)
+        summary = (tmp_path / "out" / "basic" / "summary.txt").read_text()
+        assert "EPSILON delta 1e-300 K 40 total 0.0\n" in summary
+
     def test_malformed_config_exits_nonzero(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RINGSUM_OUT", str(tmp_path / "out"))
         bad = tmp_path / "bad.cfg"
         bad.write_text("[scenario]\nsteps = nope\n")
         assert main(["simulate", "--config", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+TINY_ROOT = ("c_star 9.488499966575887e-154\nd_star 0.0\nobjective 1.2646888383064871e+154\n"
+             "residual 0.0\nkkt_multiplier 6.66432440723755e+306\n"
+             "objective_at_feasible_d1 1.6862517844086495e+154\n")
+EXTREMES = ("5e-324", "1e-300", "1", "1e300", "1.7e308")
 
 
 class TestThinSubcommands:
@@ -400,6 +418,40 @@ class TestThinSubcommands:
         assert code == 0
         values = dict(line.split() for line in capsys.readouterr().out.splitlines())
         assert float(values["epsilon"]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("argv, epsilon, log_epsilon", [
+        (["--family", "harmonic", "--c", "1e300", "--d", "1", "--delta", "1e-300", "--K", "5"],
+         0.0, -1378.8430055953),
+        (["--family", "geometric", "--c", "1e-300", "--phi", "0.5", "--delta", "1e300", "--K", "5"],
+         math.inf, 1384.98504300091),
+        (["--family", "harmonic", "--c", "1", "--d", "1e308", "--delta", "1", "--K", "1000"],
+         math.inf, 716.103963921148),
+    ], ids=["quotient-underflow", "quotient-overflow", "product-overflow"])
+    def test_budget_log_past_the_doubles(self, capsys, argv, epsilon, log_epsilon):
+        # log(delta / c) once raised on the underflow (a traceback, status 1)
+        # and read inf on the overflows.
+        assert main(["budget", *argv]) == 0
+        values = {k: float(v) for k, v in (line.split() for line in capsys.readouterr().out.splitlines())}
+        assert values["epsilon"] == epsilon
+        assert values["log_epsilon"] == pytest.approx(log_epsilon, rel=1e-12)
+
+    @pytest.mark.parametrize("fixed, swept", [
+        (["bounds", "--family", "harmonic", "--n", "3"], ["--c", "--d"]),
+        (["bounds", "--family", "geometric", "--n", "3"], ["--c", "--phi"]),
+        (["budget", "--family", "harmonic", "--K", "5"], ["--c", "--d", "--delta"]),
+        (["budget", "--family", "geometric", "--K", "5"], ["--c", "--phi", "--delta"]),
+        (["tradeoff", "--n", "3", "--K", "4"], ["--delta", "--gu", "--ga", "--gp"]),
+    ], ids=["bounds-harmonic", "bounds-geometric", "budget-harmonic", "budget-geometric", "tradeoff"])
+    def test_every_float_flag_at_the_extremes_is_a_result_or_an_error(self, capsys, fixed, swept):
+        for values in itertools.product(EXTREMES, repeat=len(swept)):
+            argv = [*fixed, *(x for pair in zip(swept, values) for x in pair)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(argv)
+            out, err = capsys.readouterr()
+            assert code in (0, 2) and "nan" not in out, argv
+            assert (out == "" and err.startswith("error: ") and err.count("\n") == 1
+                    if code else err == ""), argv
 
     def test_budget_without_noise_is_infinite(self, capsys):
         assert main(["budget", "--family", "harmonic", "--c", "0", "--d", "1",
@@ -465,10 +517,11 @@ class TestThinSubcommands:
     @pytest.mark.parametrize("argv", [
         ["--n", "3", "--delta", "1e300", "--K", "100000"],
         ["--n", "3", "--delta", "1", "--K", "4", "--ga", "1e308"],
-        ["--n", "3", "--delta", "1", "--K", "4", "--gu", "1e306", "--ga", "1e-300"],
-    ], ids=["constant", "leading-coefficient", "root"])
+        ["--n", "3", "--delta", "1e-300", "--K", "2", "--gp", "1e-300"],
+    ], ids=["constant", "leading-coefficient", "constant-underflow"])
     def test_tradeoff_past_the_largest_double_is_an_error(self, capsys, argv):
-        # Each printed c_star nan and five more nan lines, with exit status 0.
+        # The first two printed c_star nan and five more nan lines, and the
+        # last c_star 5.55e-17 for a cubic whose constant is 0, with status 0.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["tradeoff", *argv]) == 2
@@ -480,12 +533,12 @@ class TestThinSubcommands:
         (["--n", "7", "--delta", "2.5", "--K", "1000"],
          "c_star 15.67996326548599\nd_star 0.0\nobjective 119646.00671788218\nresidual 0.0\n"
          "kkt_multiplier 5079.084280758621\nobjective_at_feasible_d1 119805.44586692043\n"),
-        # Finite, if far from the root: the bisection cannot resolve it.
-        (["--n", "3", "--delta", "1", "--K", "4", "--gu", "1e306", "--ga", "1e-10"],
-         "c_star 5.450201335450678e-17\nd_star 0.0\nobjective 3.632190978420264e+290\n"
-         "residual 1.1877703272718815e+275\nkkt_multiplier 6.66432440723755e+306\n"
-         "objective_at_feasible_d1 3.632190978420264e+290\n"),
-    ], ids=["reference", "finite-near-overflow"])
+        # A root far below 1e-15, where bisection to an absolute width once
+        # stopped: that printed c_star 5.450201335450678e-17 with residual
+        # 1.19e275 at --ga 1e-10, and nan lines at --ga 1e-300.
+        (["--n", "3", "--delta", "1", "--K", "4", "--gu", "1e306", "--ga", "1e-10"], TINY_ROOT),
+        (["--n", "3", "--delta", "1", "--K", "4", "--gu", "1e306", "--ga", "1e-300"], TINY_ROOT),
+    ], ids=["reference", "finite-near-overflow", "root"])
     def test_finite_tradeoff_outputs_keep_their_bytes(self, capsys, argv, out):
         assert main(["tradeoff", *argv]) == 0
         assert capsys.readouterr() == (out, "")

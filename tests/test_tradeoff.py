@@ -1,5 +1,7 @@
-"""Tradeoff cubic: root finding, KKT verification, geometric explorer."""
+"""Tradeoff cubic: root finding, KKT verification, geometric optimum."""
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,12 +10,12 @@ from ringsum import (
     ConfigError,
     DegenerateTradeoffError,
     TradeoffProblem,
-    explore_geometric,
     objective_geometric,
     objective_harmonic,
+    solve_geometric,
     solve_harmonic,
 )
-from ringsum.tradeoff import cubic, upper_bracket
+from ringsum.tradeoff import _bracket, _coefficients, _geometric_terms
 
 
 def _problem(gu=1.0, ga=1.0, gp=1.0, n=3, delta=1.0, K=2):
@@ -90,14 +92,17 @@ class TestHarmonicSolver:
                 delta=rng.uniform(0.1, 5),
                 K=int(rng.integers(2, 1000)),
             )
-            hi = upper_bracket(p)
-            thetas = np.linspace(1e-12, hi, 2000)
-            signs = np.sign([cubic(p, t) for t in thetas])
+            a, b, e = _coefficients(p)
+            lo, hi = _bracket(a, b, e)
+            thetas = np.linspace(lo, hi, 2000)
+            signs = np.sign(a * thetas**3 + b * thetas**2 - e)
+            assert signs[0] < 0 < signs[-1]
             assert np.count_nonzero(np.diff(signs)) == 1
 
-    def test_k_below_two_degenerate(self):
+    @pytest.mark.parametrize("K", [1, 0, -3])
+    def test_k_below_two_degenerate(self, K):
         with pytest.raises(DegenerateTradeoffError):
-            solve_harmonic(_problem(K=1))
+            solve_harmonic(_problem(K=K))
 
     def test_invalid_balancers_rejected(self):
         with pytest.raises(ConfigError):
@@ -110,44 +115,104 @@ class TestHarmonicSolver:
             _problem(**{field: value})
 
 
-class TestGeometricExplorer:
-    def test_surface_positive_and_best_point_consistent(self):
-        p = _problem_geo()
-        surf = explore_geometric(p, np.linspace(0.05, 2.0, 40), np.linspace(0.1, 0.9, 40))
-        assert np.all(surf.objective > 0)
-        assert surf.best_value == surf.objective.min()
-        assert surf.best_value == pytest.approx(
-            float(objective_geometric(p, surf.best_c, surf.best_phi))
+def _changes_sign_within_two_ulps(coefficients, c):
+    """Exact: the cubic a c^3 + b c^2 - e has its root within 2 ulps of c."""
+    a, b, e = map(Fraction, coefficients)
+
+    def g(x):
+        return a * Fraction(x) ** 3 + b * Fraction(x) ** 2 - e
+
+    lo = math.nextafter(math.nextafter(c, 0.0), 0.0)
+    hi = math.nextafter(math.nextafter(c, math.inf), math.inf)
+    return g(lo) <= 0 <= g(hi)
+
+
+EXTREMES = (5e-324, 1e-300, 1.0, 1e300, 1.7e308)
+
+
+def _geometric_cubic(p, phi):
+    """The cubic the geometric solver solves at phi: the slope of
+    gamma_u c U + gamma_a c^2 V + gamma_p epsilon / c, times c^2."""
+    u, v, eps = _geometric_terms(p, phi)
+    return 2.0 * p.gamma_a * v, p.gamma_u * u, p.gamma_p * eps
+
+
+@pytest.mark.parametrize("solve, cubic_at", [
+    (solve_harmonic, lambda p, sol: _coefficients(p)),
+    (solve_geometric, lambda p, sol: _geometric_cubic(p, sol.phi_star)),
+], ids=["harmonic", "geometric"])
+def test_every_root_over_the_extremes_is_exact(solve, cubic_at):
+    # A setting at a double's extremes gives a root or a ConfigError, never a
+    # wrong finite root (the harmonic solver once stopped bisecting at an
+    # absolute width of 1e-15 and returned 5.45e-17 for a root of 9.49e-154).
+    returned = 0
+    for delta, gu, ga, gp in itertools.product(EXTREMES, repeat=4):
+        p = TradeoffProblem(gu, ga, gp, 3, delta, 4)
+        try:
+            sol = solve(p)
+        except ConfigError as exc:
+            assert str(exc).startswith(("the tradeoff cubic", "the geometric tradeoff"))
+            continue
+        returned += 1
+        assert not math.isnan(sol.objective_value)
+        assert _changes_sign_within_two_ulps(cubic_at(p, sol), sol.c_star), p
+    assert returned > 90  # 99 harmonic and 97 geometric roots when this was written
+
+
+def test_root_far_below_the_old_absolute_stop():
+    sol = solve_harmonic(_problem(gu=1e306, ga=1e-10, K=4))
+    assert sol.c_star == 9.488499966575887e-154 and sol.residual == 0.0
+
+
+def _dense_geometric_minimum(p, c_star):
+    """The paper's geometric objective on a 20,001 x 61 (logit phi, c) grid,
+    written out here with the privacy sum in log space."""
+    x = np.linspace(-36.0, 36.0, 20_001)
+    phi, one_minus = 1.0 / (1.0 + np.exp(-x)), 1.0 / (1.0 + np.exp(x))
+    c = c_star * 2.0 ** np.linspace(-3.0, 3.0, 61)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        privacy = np.exp(
+            math.log(p.delta) + np.log1p(-(phi**p.K)) - (p.K - 1) * np.log(phi) - np.log(one_minus)
         )
+        surface = (p.gamma_u * c * p.n * np.sqrt(p.n / (one_minus * (1.0 + phi)))
+                   + p.gamma_a * c**2 * 2.0 * p.n**2 / (one_minus * (1.0 + phi))
+                   + p.gamma_p * privacy / c)
+    return float(np.nanmin(surface))
 
-    def test_grid_refinement_never_worsens_best(self):
-        p = _problem_geo()
-        coarse = explore_geometric(p, np.linspace(0.05, 2.0, 20), np.linspace(0.1, 0.9, 20))
-        fine = explore_geometric(p, np.linspace(0.05, 2.0, 39), np.linspace(0.1, 0.9, 39))
-        assert fine.best_value <= coarse.best_value + 1e-12
 
-    def test_nested_local_regrid_agrees_within_spacing(self):
-        p = _problem_geo(K=5)
-        cs, phis = np.linspace(0.05, 2.0, 100), np.linspace(0.05, 0.95, 100)
-        coarse = explore_geometric(p, cs, phis)
-        dc, dphi = cs[1] - cs[0], phis[1] - phis[0]
-        fine = explore_geometric(
-            p,
-            np.linspace(max(coarse.best_c - dc, 1e-6), coarse.best_c + dc, 21),
-            np.clip(np.linspace(coarse.best_phi - dphi, coarse.best_phi + dphi, 21), 0.01, 0.99),
-        )
-        assert abs(fine.best_c - coarse.best_c) <= dc
-        assert abs(fine.best_phi - coarse.best_phi) <= dphi
+class TestGeometricSolver:
+    @pytest.mark.parametrize("n, K, phi, c, objective", [
+        (3, 2, 0.618034, 0.3215, 13.278559),
+        (10, 100, 0.991296, 0.1869, 1299.2426),
+        (10, 1000, 0.999126, 0.190, 12683.618),
+    ])
+    def test_reference_optima(self, n, K, phi, c, objective):
+        sol = solve_geometric(_problem(n=n, K=K))
+        assert sol.phi_star == pytest.approx(phi, abs=1e-6)
+        assert sol.c_star == pytest.approx(c, abs=5e-4)
+        assert sol.objective_value == pytest.approx(objective, rel=1e-7)
+        assert sol.objective_value == objective_geometric(_problem(n=n, K=K), sol.c_star, sol.phi_star)
 
-    def test_phi_grid_touching_bounds_clipped_with_warning(self):
-        p = _problem_geo()
-        with pytest.warns(UserWarning):
-            surf = explore_geometric(p, np.array([1.0]), np.array([0.0, 0.5, 1.0]))
-        assert np.all((surf.phi_values > 0) & (surf.phi_values < 1))
+    @pytest.mark.parametrize("n, K", [(3, 2), (3, 7), (10, 100), (10, 10**6), (40, 1000)])
+    @pytest.mark.parametrize("gu, ga, gp", [
+        (1.0, 1.0, 1.0), (1e6, 1.0, 1.0), (1.0, 1e6, 1.0), (1.0, 1.0, 1e6),
+        (1e-6, 1e-6, 1.0), (1e6, 1e6, 1e-6), (1e-6, 1.0, 1e6),
+    ])
+    def test_no_dense_grid_point_is_lower(self, n, K, gu, ga, gp):
+        p = _problem(gu=gu, ga=ga, gp=gp, n=n, K=K)
+        sol = solve_geometric(p)
+        # The slack is the two evaluations' rounding, not the search's error.
+        assert sol.objective_value <= _dense_geometric_minimum(p, sol.c_star) * (1 + 1e-12)
 
-    def test_nonpositive_c_rejected(self):
-        with pytest.raises(ConfigError):
-            explore_geometric(_problem_geo(), np.array([0.0, 1.0]), np.array([0.5]))
+    def test_one_step_is_degenerate(self):
+        with pytest.raises(DegenerateTradeoffError):
+            solve_geometric(_problem_geo(K=1))
+
+    @pytest.mark.parametrize("phi", [5e-324, 1e-300, 1e-17, 1e-9, 1 - 1e-9, 1 - 2**-52, 1 - 2**-53])
+    @pytest.mark.parametrize("K", [2, 1000, 10**6])
+    def test_objective_near_the_ends_of_phi(self, phi, K):
+        value = objective_geometric(_problem_geo(K=K), 1.0, phi)
+        assert value > 0 and not math.isnan(value)
 
 
 def _problem_geo(K=10):
