@@ -145,8 +145,9 @@ def _write_csv(path: Path, header: str, blocks) -> None:
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\r\n")
         for cols in blocks:
-            for i in range(0, len(cols[0]), csvtext.BLOCK_ROWS):
-                fh.write(csvtext.block([c[i : i + csvtext.BLOCK_ROWS] for c in cols], fields))
+            rows = csvtext.block_rows(cols)
+            for i in range(0, len(cols[0]), rows):
+                fh.write(csvtext.block([c[i : i + rows] for c in cols], fields))
 
 
 def _trajectory_blocks(run, parts):
@@ -157,7 +158,7 @@ def _trajectory_blocks(run, parts):
     yet)."""
     for (phase, mat), part in zip(run.phases, parts, strict=True):
         n, first = phase.n, min(phase.n - 1, len(mat))  # states before the first window
-        step = max(1, csvtext.BLOCK_ROWS // n)
+        step = max(1, csvtext.BLOCK_FLOATS // (3 * n))  # 3 float fields per row
         for lo in [*range(0, first, step), *range(first, len(mat), step)]:
             hi = min(lo + step, first if lo < first else len(mat))
             k = np.repeat(np.arange(phase.start_k + lo, phase.start_k + hi), n)

@@ -14,7 +14,10 @@ with int64 or Python ints to float64.
 """
 import numpy as np
 
-BLOCK_ROWS = 2048  # rows per matrix: the writer's memory follows this, not the run's length
+# Float values per matrix, as in 2048 rows of a trajectory table's 3 float
+# fields: the writer's memory follows this, not the run's length, and a
+# narrow table gets as many values per numpy call as a wide one.
+BLOCK_FLOATS = 3 * 2048
 
 _U, _M32 = np.uint64, np.uint64(0xFFFFFFFF)
 _POW10 = np.array([10**i for i in range(20)], dtype=_U)
@@ -159,6 +162,11 @@ def _floats(x: np.ndarray) -> _Cells:
     own = np.frombuffer("".join(r.ljust(width, "\0") for r in reprs).encode(), np.uint8)
     return _Cells(text, e + (pad_l * 4 + 24 - whole), whole + frac, whole, np.maximum(point, 1),
                   np.signbit(x), width, (which, own.reshape(len(which), width)))
+
+
+def block_rows(cols) -> int:
+    """Rows per block of `cols`: BLOCK_FLOATS float values."""
+    return BLOCK_FLOATS // max(1, sum(c.dtype.kind == "f" for c in cols))
 
 
 def block(cols, fields: int) -> bytes:

@@ -164,6 +164,8 @@ def aggregate_trials(config: ProtocolConfig, trials: int) -> ErrorAggregate:
         raise ValueError("variance estimation needs at least 2 trials")
     columns = []
 
+    # Squares of huge estimates overflow to inf, which errors.csv then reads.
+    @np.errstate(over="ignore")
     def take(phase, k_end, y):
         # Every (step, node) cell is reduced over the trials of the whole
         # phase's memory layout. numpy sums a trials-major chunk of one

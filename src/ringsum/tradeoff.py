@@ -94,9 +94,12 @@ def _coefficients(p: TradeoffProblem) -> tuple[float, float, float]:
 
 def objective_harmonic(p: TradeoffProblem, c: float, d: float) -> float:
     """Scalarized objective on the homogeneous line c_M = c_m = c."""
+    # c * c overflows past c = 1.3e154, where gamma_a * c * c may not.
+    square = c * c
+    accuracy = p.gamma_a * square if math.isfinite(square) else p.gamma_a * c * c
     return (
         p.gamma_u * c * math.pi * p.n * math.sqrt(p.n / 6.0)
-        + p.gamma_a * (c * c) * math.pi**2 * p.n**2 / 3.0
+        + accuracy * math.pi**2 * p.n**2 / 3.0
         + p.gamma_p * p.delta * p.K * ((p.K - 1) / 2.0 + d) / c
     )
 

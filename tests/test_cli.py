@@ -363,6 +363,22 @@ class TestSimulateCommand:
         summary = (tmp_path / "out" / "basic" / "summary.txt").read_text()
         assert "EPSILON delta 1e-300 K 40 total 0.0\n" in summary
 
+    def test_overflowing_variance_reads_inf_under_warnings_as_errors(self, tmp_path, monkeypatch):
+        # Deviations of about 1e300 overflow when squared. The member sums of
+        # such noise do not conserve, so the run exits 1.
+        monkeypatch.setenv("RINGSUM_OUT", str(tmp_path / "out"))
+        body = BASIC.replace("steps = 40", "steps = 20").replace(
+            "family = geometric\n    c = 1.0\n    phi = 0.5", "family = harmonic\n    c = 1e300\n    d = 1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", str(_write_scenario(tmp_path, body))]) == 1
+        out_dir = tmp_path / "out" / "basic"
+        checks = [line for line in (out_dir / "summary.txt").read_text().splitlines()
+                  if line.startswith("CHECK conservation")]
+        assert checks and all(line.endswith(" FAIL") for line in checks)
+        rows = (out_dir / "errors.csv").read_text().splitlines()
+        assert len(rows) > 1 and all(",inf" in row for row in rows[1:])
+
     def test_malformed_config_exits_nonzero(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RINGSUM_OUT", str(tmp_path / "out"))
         bad = tmp_path / "bad.cfg"
@@ -538,7 +554,12 @@ class TestThinSubcommands:
         # 1.19e275 at --ga 1e-10, and nan lines at --ga 1e-300.
         (["--n", "3", "--delta", "1", "--K", "4", "--gu", "1e306", "--ga", "1e-10"], TINY_ROOT),
         (["--n", "3", "--delta", "1", "--K", "4", "--gu", "1e306", "--ga", "1e-300"], TINY_ROOT),
-    ], ids=["reference", "finite-near-overflow", "root"])
+        # c * c overflows at this root, where gamma_a * c * c does not.
+        (["--n", "3", "--K", "4", "--delta", "1e300", "--gu", "1e-300", "--ga", "1e-300"],
+         "c_star 4.6619407703541164e+199\nd_star 0.0\nobjective 1.930526457399923e+101\n"
+         "residual 4.758454107128906e+285\nkkt_multiplier 2.7606906686822942e-99\n"
+         "objective_at_feasible_d1 2.7885382162443332e+101\n"),
+    ], ids=["reference", "finite-near-overflow", "root", "objective-past-square-overflow"])
     def test_finite_tradeoff_outputs_keep_their_bytes(self, capsys, argv, out):
         assert main(["tradeoff", *argv]) == 0
         assert capsys.readouterr() == (out, "")

@@ -15,7 +15,7 @@ from ringsum import Distribution, NoiseSchedule, ProtocolConfig, csvtext, run_ai
 from ringsum.cli import _write_csv, _write_trajectories, load_scenario
 from test_writers import _bytes, oracle_trajectories
 
-B = csvtext.BLOCK_ROWS
+B = csvtext.BLOCK_FLOATS
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 RNG = np.random.default_rng(20)
 
@@ -27,7 +27,8 @@ def reference(cols, fields) -> bytes:
 
 def formatted(cols, fields) -> bytes:
     """The blocks as `cli._write_csv` cuts them."""
-    return b"".join(csvtext.block([c[i : i + B] for c in cols], fields) for i in range(0, len(cols[0]), B))
+    rows = csvtext.block_rows(cols)
+    return b"".join(csvtext.block([c[i : i + rows] for c in cols], fields) for i in range(0, len(cols[0]), rows))
 
 
 def assert_like_repr(*cols, fields=None):
@@ -78,7 +79,7 @@ def test_integers_up_to_2_53_zeros_infinities_and_nan():
 
 def test_values_between_minus_one_and_zero_after_other_fields():
     # The sign of a value with no integer digit must sit after the comma.
-    x = -RNG.random(3 * B)
+    x = -RNG.random(B)  # two blocks of its two float columns
     x[::7] *= 10.0 ** -RNG.integers(1, 6, len(x[::7]))
     assert_like_repr(np.arange(len(x)), x, x[::-1].copy(), fields=5)
 
@@ -105,7 +106,8 @@ def test_int64_columns_with_negatives_and_extremes():
     assert_like_repr(x, x[::-1].copy(), RNG.standard_normal(len(x)))
 
 
-@pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 3 * B + 5])
+# The edges of the blocks of one float column, and of two (B // 2 rows).
+@pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, B + 2, 3 * B + 5])
 def test_blank_trailing_fields_at_the_block_edges(tmp_path, rows):
     ks = np.arange(rows) - 7
     x = RNG.standard_normal(rows) * 10.0 ** RNG.integers(-8, 20, rows)

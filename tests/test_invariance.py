@@ -121,6 +121,7 @@ def assert_same_draws(got, want) -> None:
 
 SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0]
 U_ONE_TRIALS = np.arange(4418893527435787700, 4418893527435787800, dtype=np.uint64)[:, None]
+U_HALF_TRIALS = np.arange(892875904756025900, 892875904756026000, dtype=np.uint64)[:, None]
 scales = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
 
 
@@ -171,6 +172,9 @@ def coordinates(draw):
          block_log2=6, workers=4)
 # Blocks around the trial whose uniform rounds to 1.0 at seed 0, node 1, step 0.
 @example(seed=0, coords=(1, 0, U_ONE_TRIALS, np.array([2.0, -0.0])), kind=Distribution.LAPLACE,
+         rate=1.0, block_log2=6, workers=2)
+# And around the trial whose uniform is exactly 1/2 there.
+@example(seed=0, coords=(1, 0, U_HALF_TRIALS, np.array([2.0, -0.0])), kind=Distribution.LAPLACE,
          rate=1.0, block_log2=6, workers=2)
 def test_blocked_draws_equal_the_allocating_pipeline(pools, seed, coords, kind, rate,
                                                      block_log2, workers):

@@ -19,6 +19,8 @@ def unit(seed, node, k, trial, slot):
 
 # The one 53-bit value for which b + 0.5 rounds up to u = 1.0.
 U_ONE = dict(node=1, k=0, trial=np.array([4418893527435787771], np.uint64))
+# A coordinate whose 53-bit value is b = 2**52, where u is exactly 1/2.
+U_HALF = dict(node=1, k=0, trial=np.array([892875904756025975], np.uint64))
 
 
 class TestDeterminism:
@@ -108,3 +110,13 @@ class TestSampleBeta:
         x = src.sample(**U_ONE, scale=2.0, dist=Distribution.LAPLACE)
         assert np.isfinite(x).all()
         assert x[0] == pytest.approx(2.0 * 53 * math.log(2.0), rel=1e-15)
+
+    def test_a_uniform_of_one_half_gives_positive_zeros(self):
+        # t = u - 1/2 is +0.0, so sign(t) * -scale is -0.0 and log1p(-2|t|) is
+        # -0.0: their product, the Laplace draw, is +0.0 (copysign would give
+        # -0.0). The symmetric uniform 2u - 1 is +0.0 too.
+        src = NoiseSource(0)
+        assert unit(0, **U_HALF, slot=0).tolist() == [0.0]
+        for dist in (Distribution.LAPLACE, Distribution.UNIFORM_SYMMETRIC):
+            x = src.sample(**U_HALF, scale=2.0, dist=dist)
+            assert x.tolist() == [0.0] and not np.signbit(x).any()

@@ -76,6 +76,19 @@ class TestHarmonicSolver:
         sol = solve_harmonic(p)
         assert objective_harmonic(p, sol.c_star, 1.0) > objective_harmonic(p, sol.c_star, 0.0)
 
+    def test_objective_where_c_squared_overflows(self):
+        # c_star is 4.66e199, so c * c overflows where gamma_a * c * c does
+        # not: the objective is finite, about 1.93e101.
+        p = _problem(gu=1e-300, ga=1e-300, delta=1e300, K=4)
+        c = solve_harmonic(p).c_star
+        pi, n = Fraction(math.pi), p.n
+        for d in (0.0, 1.0):
+            exact = (Fraction(p.gamma_u) * Fraction(c) * pi * n * Fraction(math.sqrt(n / 6.0))
+                     + Fraction(p.gamma_a) * Fraction(c) ** 2 * pi**2 * n**2 / 3
+                     + Fraction(p.gamma_p) * Fraction(p.delta) * p.K * (Fraction(p.K - 1, 2) + Fraction(d))
+                     / Fraction(c))
+            assert objective_harmonic(p, c, d) == pytest.approx(float(exact), rel=1e-14)
+
     def test_balancer_scaling_leaves_root_unchanged(self):
         p = _problem(gu=2.0, ga=0.5, gp=3.0, n=7, K=40)
         scaled = _problem(gu=2.0 * 11, ga=0.5 * 11, gp=3.0 * 11, n=7, K=40)
