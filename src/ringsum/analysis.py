@@ -7,10 +7,11 @@ the K values the composition identity is checked at.
 
 The empirical DP audit is a view over the engine's kernel: it samples the
 masked messages through `engine.simulate`, a slice of trials at a time, into
-node-major rows, and runs its K * n per-coordinate reductions on the noise
-threads. Each reduction sorts its two rows of the traces in place and reads
-the pooled quartiles and the bin counts from the sorted rows, so the audit
-holds no copy of a sample beside the two traces.
+node-major rows, each round writing its messages straight into the traces,
+and runs its K * n per-coordinate reductions on the noise threads. Each
+reduction sorts its two rows of the traces in place and reads the pooled
+quartiles and the bin counts from the sorted rows, so the audit holds no
+copy of a sample beside the two traces.
 """
 from __future__ import annotations
 
@@ -179,9 +180,9 @@ class AuditResult:
 # trace sets the audit's peak, so this buffer is most of what the audit holds
 # beyond the two traces; each draw depends only on its (node, step, trial),
 # so the slice moves no bit. The buffer is (K + 1, n, slice), viewed as
-# (K + 1, slice, n): the node-major rows make the kernel's adds and the copy
-# of each round's messages run over 2^17 contiguous trials instead of n - 1
-# neighbouring nodes.
+# (K + 1, slice, n): the node-major rows make the kernel's subtractions into
+# the node-major traces and its adds run over 2^17 contiguous trials instead
+# of n - 1 neighbouring nodes.
 AUDIT_SLICE = 1 << 17
 
 
@@ -194,8 +195,9 @@ def _sample_traces(config: ProtocolConfig, K: int, samples: int, trial_offset: i
     states = np.empty((K + 1, n, min(samples, AUDIT_SLICE))).swapaxes(1, 2)  # node-major
     for lo in range(0, samples, AUDIT_SLICE):
         hi = min(lo + AUDIT_SLICE, samples)
+        # Each round subtracts its messages straight into their trace rows.
         simulate(config, hi - lo, [states[:, : hi - lo]], trial_offset + lo,
-                 record=lambda k, _senders, d: np.copyto(out[k, :, lo:hi], d.T))
+                 record=lambda k, _senders: out[k, :, lo:hi].T)
     return out
 
 

@@ -209,13 +209,16 @@ def _run_simulate(args) -> int:
     summary: list[str] = [f"scenario {name}", f"protocol {protocol}",
                           f"seed {config.rng_seed}", f"trials {trials}"]
 
+    agg = None
     if protocol == "ai":
         run = engine.run_ai(config, extras["rate"], extras["horizon"])
+    elif trials >= 2:  # the batch's trial 0 is the single run
+        agg = metrics.aggregate_trials(config, trials)
+        run = agg.run
     else:
         run = engine.run_si(config)
     parts = metrics.window_sums(run)
     _write(out_dir / "trajectories.csv", _write_trajectories, run, parts)
-    agg = metrics.aggregate_trials(config, trials) if trials >= 2 else None
     if agg is not None:
         _write(out_dir / "errors.csv", _write_errors, agg)
     else:

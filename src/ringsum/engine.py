@@ -10,10 +10,12 @@ pure function of (seed, node, k, trial), so `simulate` advances all trials
 as one (trials, n) state, phase by phase. It only stores the states, in
 whole-phase buffers or in shorter ones that it hands back chunk by chunk
 (the caller reduces the last chunk while the noise pool draws the next),
-and hands each round's messages to a callback; its views are
-`run_si` (one trial's states), the streamed Monte Carlo windows in `metrics`
-and the DP audit's message traces in `analysis`, the one reader of the
-messages. `_drift` folds the member-sum drift for the views that report it.
+and writes each round's messages once, into the array that a callback
+returns for them. Its views are `run_si`, which returns one trial's states
+and drives the Monte Carlo batch, keeping its first trial from each chunk;
+the streamed Monte Carlo windows in `metrics`; and the DP audit in
+`analysis`, the one reader of the messages, whose traces receive them.
+`_drift` folds the member-sum drift for the views that report it.
 
 The Poisson-clock variant `run_ai` draws each node's clock gaps and betas in
 one block per node and merges the ticks by (time, node id); only the
@@ -72,22 +74,26 @@ def noise_block(source, dist, order, schedules, ks, trials, node_major=False, ou
     return source.sample(*coords, dist, out=out, beside=beside).transpose(axes)
 
 
-def _round(x, beta, order, out, leaver=None, secret=0.0):
-    """One round on (trials, n) rows into `out`; returns (senders, messages).
+def _round(x, beta, order, out, sink, leaver=None, secret=0.0) -> None:
+    """One round on (trials, n) rows into `out`; sink(senders) returns the
+    (trials, len(senders)) array that receives the round's messages, or None.
 
     In the departure round of column `leaver`, the leaver unmasks its secret
-    and its predecessor only accumulates; the caller drops the leaver's column.
+    and its predecessor only accumulates, sending nothing; the caller drops
+    the leaver's column.
     """
-    d = x - beta
-    if leaver is not None:
+    if leaver is None:
+        d = np.subtract(x, beta, out=sink(order))
+    else:
+        d = x - beta
         d[:, leaver] = x[:, leaver] - secret
     np.add(beta[:, 1:], d[:, :-1], out=out[:, 1:])
     np.add(beta[:, :1], d[:, -1:], out=out[:, :1])
-    if leaver is None:
-        return order, d
-    pi = (leaver - 1) % len(order)
-    out[:, pi] = x[:, pi] + d[:, pi - 1]
-    return order[:pi] + order[pi + 1 :], np.delete(d, pi, axis=1)
+    if leaver is not None:
+        pi = (leaver - 1) % len(order)
+        out[:, pi] = x[:, pi] + d[:, pi - 1]
+        if (sent := sink(order[:pi] + order[pi + 1 :])) is not None:
+            sent[:, :pi], sent[:, pi:] = d[:, :pi], d[:, pi + 1 :]
 
 
 def _drift(phases, states) -> float:
@@ -115,8 +121,9 @@ def simulate(config: ProtocolConfig, trials: int, states, first_trial: int = 0,
     the phase's last rows go to `flush` when it ends. `flush` may overwrite
     the rows it is handed. Such a phase draws a buffer's rounds of noise at
     a time, each draw after the first beside the flush of the full buffer;
-    a draw's values do not depend on when it runs. `record(k, senders, d)`,
-    if given, receives each round's messages, d of shape (trials, len(senders)).
+    a draw's values do not depend on when it runs. `record(k, senders)`, if
+    given, returns the (trials, len(senders)) array that receives round k's
+    messages, or None; the round writes them there and nowhere else.
     """
     phases = config.phases()
     source = NoiseSource(config.rng_seed)
@@ -152,14 +159,17 @@ def simulate(config: ProtocolConfig, trials: int, states, first_trial: int = 0,
             else:
                 betas = draw()
             for r in range(c0, min(c0 + chunk, last)):
-                record(phase.start_k + r,
-                       *_round(out[r - t], betas[r - c0], phase.order, out[r - t + 1]))
-        x = out[last - t].copy()
+                _round(out[r - t], betas[r - c0], phase.order, out[r - t + 1],
+                       partial(record, phase.start_k + r))
+        # The flush may overwrite the last state; only a later phase reads it.
+        if p + 1 < len(phases):
+            x = out[last - t].copy()
         flush(p, t, out[: last - t + 1])
         if phase.leaver is not None:
             li = phase.order.index(phase.leaver)
             new = np.empty_like(x)
-            record(phase.stop_k, *_round(x, betas[-1], phase.order, new, li, phase.secrets[li]))
+            _round(x, betas[-1], phase.order, new, partial(record, phase.stop_k), li,
+                   phase.secrets[li])
             x = np.delete(new, li, axis=1)
 
 
@@ -187,12 +197,24 @@ class RunResult:
     k: int
 
 
-def run_si(config: ProtocolConfig, trial: int = 0) -> RunResult:
+def run_si(config: ProtocolConfig, trial: int = 0, trials: int = 1, states=None,
+           flush=lambda *_: None) -> RunResult:
     """Execute K synchronous rounds with membership events at their times:
-    trial `trial` of `simulate`."""
+    trial `trial` of `simulate`.
+
+    Given `states`, trials trial .. trial + trials - 1 run together in those
+    buffers, as `simulate` runs them, and each chunk goes on to `flush` once
+    the first trial's rows are kept; that trial is the result.
+    """
     phases = config.phases()
     storage = [np.empty((p.stop_k - p.start_k + 1, p.n)) for p in phases]
-    simulate(config, 1, [s[:, None] for s in storage], trial)
+    if states is None:  # one trial, straight into its storage
+        states, keep = [s[:, None] for s in storage], None
+    else:
+        def keep(p, t, rows):
+            storage[p][t : t + len(rows)] = rows[:, 0]
+            flush(p, t, rows)
+    simulate(config, trials, states, trial, flush=keep)
     # Round 0 is played by the first phase with a round; those before it end
     # in a join at k = 0.
     first = next(p for p in phases if p.stop_k > 0 or p.leaver is not None)

@@ -7,18 +7,20 @@ Windows reset on every membership change; errors are always measured against
 the current-phase member sum. For a run's phase p, `window_sums(run)[p].y[i, j]`
 is the estimate of node `order[j]` at step `k_end[i]`.
 
-Monte Carlo trials are simulated together and streamed: `engine.simulate`
-writes all trials' states a chunk of rounds at a time into one buffer per
-phase (trials-major with membership events, step-major without), the window
-sums are formed in place there, carrying the last cumulative sums from chunk
-to chunk, and each chunk is reduced over trials before the next overwrites
-it. A buffer holds a noise chunk's rounds (but at least n) and the state
-before them. The engine draws that many rounds of noise at a time, into
-one buffer per phase, and each full chunk is reduced here while the noise
-pool draws the next; memory does not grow with the number of steps. A
-single run's states are read-only, so its window sums work on a copy;
-`window_sums` returns one series per phase of the run, empty for a phase
-of fewer than n states.
+Monte Carlo trials are simulated together and streamed: `engine.run_si`
+has all trials' states written a chunk of rounds at a time into one buffer
+per phase (trials-major with membership events, step-major without) and
+keeps trial 0's rows, which `aggregate_trials` hands back as its `run`.
+The window sums are formed in place there, carrying the last cumulative
+sums from chunk to chunk, and each chunk is reduced over trials before the
+next overwrites it. A buffer holds a noise chunk's rounds (but at least n)
+and the state before them. The engine draws that many rounds of noise at a
+time, into one buffer per phase, and each full chunk is reduced here while
+the noise pool draws the next; memory does not grow with the number of
+steps. A single run's states are read-only, so its window sums work on a
+copy; `window_sums` returns one series per phase of the run, empty for a
+phase of fewer than n states. Each window is cum[k] - cum[k - n] of the
+phase's cumulative sums, formed once, in blocks of about NOISE_BLOCK values.
 """
 from __future__ import annotations
 
@@ -28,10 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
+from .engine import RunResult, run_si
 from .model import ProtocolConfig
-# run_si is imported only because perfbench/smoke.py asserts that the tracer
-# rebinds `metrics.run_si` too; the tracer itself checks only `engine`.
-from .engine import RunResult, run_si, simulate  # noqa: F401
+from .noise import NOISE_BLOCK
 
 
 @dataclass
@@ -62,10 +63,14 @@ def _window_rows(rows: np.ndarray, n: int, carry: np.ndarray | None = None) -> n
         rows[0] = carry[-1]
     np.cumsum(rows, axis=0, out=rows)
     after = rows[-(n + 1) :].copy()
-    # Descending blocks of at most n rows never overlap their source.
-    for hi in range(len(rows), n, -n):
-        lo = max(n, hi - n)
-        rows[lo:hi] -= rows[lo - n : hi - n]
+    # Descending blocks of a multiple of n rows, about NOISE_BLOCK values
+    # each: a block of more than n rows overlaps its source, so it subtracts
+    # a copy of the source rows, taken before it writes any of them.
+    step = n * max(1, NOISE_BLOCK // (n * rows[0].size))
+    for hi in range(len(rows), n, -step):
+        lo = max(n, hi - step)
+        source = rows[lo - n : hi - n]
+        rows[lo:hi] -= source.copy(order="K") if hi - lo > n else source
     if carry is not None:
         rows[:n] -= carry[: len(rows[:n])]
     return after
@@ -105,6 +110,7 @@ class ErrorAggregate:
     sum_variance: np.ndarray
     sum_variance_stderr: np.ndarray
     trials: int
+    run: RunResult | None = None  # trial 0 of the batch, as run_si(config) gives it
 
     def at(self, k: int) -> tuple[float, float, float, float]:
         i = int(np.searchsorted(self.ks, k))
@@ -118,8 +124,9 @@ class ErrorAggregate:
         )
 
 
-def _stream(config: ProtocolConfig, trials: int, take) -> None:
-    """Run `trials` trials of `config` together, a chunk of rounds at a time.
+def _stream(config: ProtocolConfig, trials: int, take) -> RunResult:
+    """Run `trials` trials of `config` together, a chunk of rounds at a time;
+    returns trial 0, as `run_si(config)` would.
 
     take(phase, k_end, y) receives each chunk's windows that end at k_end, y
     of shape (trials, windows, n), and may overwrite y. After a phase's first
@@ -155,11 +162,12 @@ def _stream(config: ProtocolConfig, trials: int, take) -> None:
             k_end = phase.start_k + t + np.arange(fresh, len(rows))
             take(phase, k_end, np.moveaxis(rows[lo:], 0, -2))
 
-    simulate(config, trials, buffers(), flush=flush)
+    return run_si(config, 0, trials, buffers(), flush)
 
 
 def aggregate_trials(config: ProtocolConfig, trials: int) -> ErrorAggregate:
-    """Mean absolute error and estimator variance per step, with standard errors."""
+    """Mean absolute error and estimator variance per step, with standard
+    errors, and trial 0 of the batch as its `run`."""
     if trials < 2:
         raise ValueError("variance estimation needs at least 2 trials")
     columns = []
@@ -186,8 +194,8 @@ def aggregate_trials(config: ProtocolConfig, trials: int) -> ErrorAggregate:
             np.sqrt((2.0 * var**2 / (trials - 1)).sum(axis=1))[new],
         ))
 
-    _stream(config, trials, take)
+    run = _stream(config, trials, take)
     if not columns:  # no phase is long enough to fill a window
-        return ErrorAggregate(np.array([], dtype=int), *[np.array([])] * 4, trials=trials)
-    return ErrorAggregate(*map(np.concatenate, zip(*columns)), trials=trials)
+        return ErrorAggregate(np.array([], dtype=int), *[np.array([])] * 4, trials, run)
+    return ErrorAggregate(*map(np.concatenate, zip(*columns)), trials, run)
 

@@ -7,7 +7,8 @@ only synchronous engine, and it is kept here verbatim, except that a run
 starts from a plain list of nodes in ring order, so that `test_kernel.py` and
 `test_async_engine.py` can check the batched kernel and the block-drawn
 Poisson-clock engine against it bit for bit. `kernel_trace` collects the
-kernel's messages in the form of `ProtocolRun.trace`.
+kernel's messages in the form of `ProtocolRun.trace`, through the record
+`record_into` makes.
 """
 from __future__ import annotations
 
@@ -129,10 +130,15 @@ class ProtocolRun:
         """Run round k on the current state; returns the next state."""
         beta = noise_block(self.source, self.distribution, self.order,
                            [self.schedules[i] for i in self.order], [self.k], self.trial)[0]
-        new = np.empty((1, self.n))
-        sent = _round(self.x[None, :], beta, self.order, new, *leaver_secret)
+        new, sent = np.empty((1, self.n)), []
+
+        def sink(senders):
+            sent.append((senders, np.empty((1, len(senders)))))
+            return sent[-1][1]
+
+        _round(self.x[None, :], beta, self.order, new, sink, *leaver_secret)
         if self.record_trace:
-            self._record(self.k, *sent)
+            self._record(self.k, *sent[0])
         self.k += 1
         return new[0]
 
@@ -193,14 +199,19 @@ def join(
     return run
 
 
+def record_into(messages: list, trials: int):
+    """A `simulate` record that hands each round a fresh (trials,
+    len(senders)) array for its messages and lists (k, senders, array)."""
+    def record(k, senders):
+        messages.append((k, senders, np.empty((trials, len(senders)))))
+        return messages[-1][2]
+    return record
+
+
 def kernel_trace(config: ProtocolConfig, trial: int = 0) -> list[tuple[int, int, float]]:
     """The (k, node, d) messages that `engine.simulate` delivers in trial
     `trial` of `config`, in the order `ProtocolRun.trace` lists them."""
-    trace = []
-
-    def record(k, nodes, d):
-        trace.extend((k, node, float(v)) for node, v in zip(nodes, d[0]))
-
+    sent = []
     simulate(config, 1, [np.empty((p.stop_k - p.start_k + 1, 1, p.n)) for p in config.phases()],
-             trial, record=record)
-    return trace
+             trial, record=record_into(sent, 1))
+    return [(k, node, float(v)) for k, nodes, d in sent for node, v in zip(nodes, d[0])]

@@ -26,7 +26,7 @@ from ringsum import (
     utility_bound,
     variance_bound,
 )
-from ringsum import analysis, noise
+from ringsum import analysis, engine, noise
 from ringsum.analysis import _sample_traces
 from ringsum.engine import noise_block
 from ringsum.noise import NoiseSource
@@ -38,6 +38,7 @@ from lemma_oracles import (
     per_step,
     shift_matrix,
 )
+from stepping_engine import ProtocolRun, si_step
 
 HARM1000 = NoiseSchedule.harmonic(1000.0, 1.0)
 
@@ -276,6 +277,41 @@ class TestAudit:
             d = x - beta
             assert np.array_equal(traces[k].view(np.uint64), d.T.view(np.uint64))
             x = beta + np.roll(d, 1, axis=1)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_sampled_traces_are_the_round_by_round_messages(self, monkeypatch, n):
+        # Slices of 4 samples: the 10 samples cross two slice boundaries.
+        monkeypatch.setattr(analysis, "AUDIT_SLICE", 4)
+        cfg = ProtocolConfig.uniform(np.arange(1.0, n + 1.0), NoiseSchedule.harmonic(1.0, 0.0),
+                                     Distribution.LAPLACE, 5, 5)
+        K, samples, first = 3, 10, 7
+        traces = _sample_traces(cfg, K, samples, first)
+        for s in range(samples):
+            run = ProtocolRun.start(cfg, trial=first + s)
+            for _ in range(K):
+                si_step(run)
+            assert [(k, node) for k, node, _ in run.trace] == [
+                (k, node) for k in range(K) for node in range(1, n + 1)]
+            want = np.array([d for _, _, d in run.trace]).reshape(K, n)
+            assert np.array_equal(traces[:, :, s].view(np.uint64), want.view(np.uint64))
+
+    def test_each_round_writes_its_messages_into_the_trace(self, monkeypatch):
+        # Three slices of two rounds: every round hands the hand-off a view
+        # of the trace, and writes no message elsewhere.
+        monkeypatch.setattr(analysis, "AUDIT_SLICE", 4)
+        real, written = engine._round, []
+
+        def spy(x, beta, order, out, sink, *rest):
+            def seen(senders):
+                written.append(sink(senders))
+                return written[-1]
+
+            return real(x, beta, order, out, seen, *rest)
+
+        monkeypatch.setattr(engine, "_round", spy)
+        traces = _sample_traces(self._config(NoiseSchedule.harmonic(1.0, 1.0)), 2, 10, 0)
+        assert len(written) == 2 * 3
+        assert all(d is not None and np.shares_memory(d, traces) for d in written)
 
     @pytest.mark.parametrize(
         "c, delta, K, samples",

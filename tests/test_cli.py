@@ -327,6 +327,25 @@ class TestSimulateCommand:
         assert "UTILITY phase 1 " in summary and "UTILITY phase 3 " in summary
         assert "UTILITY phase 2 " not in summary and "utility_phase2" not in summary
 
+    @pytest.mark.parametrize("body", [
+        BASIC + "\n[events]\nlist =\n    leave 10 4\n    join 20 4 3 4.0\n",
+        BASIC.replace("family = geometric\n    c = 1.0\n    phi = 0.5",
+                      "family = harmonic\n    c = 2\n    d = 0"),
+    ], ids=["leave-and-join", "harmonic-d-zero"])
+    def test_the_monte_carlo_batch_writes_the_single_runs_trajectories(
+            self, tmp_path, monkeypatch, body):
+        # With trials >= 2 the trajectory, its drift and its start shift
+        # come from trial 0 of the batch, which is the single run.
+        monkeypatch.setenv("RINGSUM_OUT", str(tmp_path / "out"))
+        cfg, out_dir, seen = _write_scenario(tmp_path, body), tmp_path / "out" / "basic", {}
+        for trials in ("1", "5"):
+            main(["simulate", "--config", str(cfg), "--trials", trials])
+            lines = (out_dir / "summary.txt").read_text().splitlines()
+            seen[trials] = ((out_dir / "trajectories.csv").read_bytes(),
+                            [l for l in lines if l.startswith(("CHECK conservation", "EPSILON"))])
+        assert len(seen["1"][1]) == 2
+        assert seen["5"] == seen["1"]
+
     def test_harmonic_d_zero_reports_the_start_shifted_budget(self, tmp_path, monkeypatch, capsys):
         # The run draws its k = 0 noise at the d = 1 scale, so the budget it
         # reports holds that step's term too, as `ringsum budget` does.

@@ -22,6 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 from ringsum import Distribution, Join, Leave, NoiseSchedule, NoiseSource, ProtocolConfig, noise
 from ringsum import engine
 from ringsum.metrics import aggregate_trials
+from stepping_engine import record_into
 from whole_tensor import assert_same_aggregate, oracle_aggregate_trials, trial_windows
 
 
@@ -254,12 +255,6 @@ def test_block_cuts_cover_the_output_once():
 # -- node-major states equal trial-major ones ----------------------------------
 
 
-def _record_into(messages):
-    def record(k, senders, d):
-        messages.append((k, senders, d.copy()))
-    return record
-
-
 NODE_MAJOR = {  # row t of each is a (trials, n) view whose trial stride is the smaller
     "columns": lambda steps, trials, n: np.empty((steps, n, trials)).swapaxes(1, 2),
     "fortran": lambda steps, trials, n: np.empty((n, trials, steps)).T,
@@ -285,8 +280,8 @@ def test_node_major_states_equal_trial_major_ones(pools, dist, layout, workers):
                 mock.patch.object(noise, "_POOL", pools[workers]), \
                 mock.patch.object(engine, "noise_block",
                                   lambda *args, **kw: orders.append(args[6]) or block(*args, **kw)):
-            engine.simulate(config, trials, trial_major, 3, record=_record_into(want))
-            engine.simulate(config, trials, node_major, 3, record=_record_into(got))
+            engine.simulate(config, trials, trial_major, 3, record=record_into(want, trials))
+            engine.simulate(config, trials, node_major, 3, record=record_into(got, trials))
         assert orders == [False] * len(phases) + [True] * len(phases)
         for a, b in zip(node_major, trial_major, strict=True):
             assert np.array_equal(bits(a), bits(b))
@@ -346,9 +341,8 @@ def test_chunked_statistics_keep_the_order_of_each_sum(layout, windows):
             :, :, np.array(order) - 1]
         return out
 
-    def noise_round(x, beta, order, out, leaver=None, secret=0.0):
+    def noise_round(x, beta, order, out, sink, leaver=None, secret=0.0):
         out[...] = beta
-        return order, beta
 
     config = ProtocolConfig.uniform(SECRETS[:3] if layout == "dense" else SECRETS[:4],
                                     NoiseSchedule.harmonic(1.0, 1.0), Distribution.GAUSSIAN,

@@ -155,6 +155,30 @@ def test_events_at_one_time_and_a_leave_in_the_last_round():
             assert np.array_equal(single, states[:, t])
 
 
+@pytest.mark.parametrize("noise", [None, 60], ids=["whole-phases", "chunks-of-two-rounds"])
+@pytest.mark.parametrize("config", [
+    ProtocolConfig.uniform(np.linspace(-50.0, 50.0, 6), NoiseSchedule.harmonic(100.0, 1.0),
+                           Distribution.GAUSSIAN, 120, 9, events=(Leave(30, 6), Join(70, 6, 5, 3.5))),
+    ProtocolConfig.uniform([4.0, -1.0, 2.5, 7.0, 0.5], NoiseSchedule.harmonic(2.0, 0.0),
+                           Distribution.LAPLACE, 90, 4),
+], ids=["leave-and-join", "harmonic-d-zero"])
+def test_the_monte_carlo_batch_carries_the_single_run(config, noise):
+    # Trial 0's rows are kept from each chunk before the windows overwrite
+    # them; noise chunks of 60 values (two rounds of five trials) give chunk
+    # buffers of n + 1 rows.
+    with mock.patch.object(engine, "NOISE_CHUNK", noise or engine.NOISE_CHUNK):
+        got = metrics.aggregate_trials(config, 5).run
+    want = run_si(config)
+    assert [phase for phase, _ in got.phases] == [phase for phase, _ in want.phases]
+    for (_, a), (_, b) in zip(got.phases, want.phases, strict=True):
+        assert not a.flags.writeable
+        assert np.array_equal(bits(a), bits(b))
+    assert bits([got.max_rel_drift]) == bits([want.max_rel_drift])
+    assert got.start_shift_applied == want.start_shift_applied
+    assert got.start_shift_applied is (config.schedules[0].d == 0)
+    assert got.k == want.k == config.steps
+
+
 # Four members, the fourth leaving in round 2: phase 1 stores steps 0..2,
 # phase 2 (three members) steps 3..4.
 _LEFT = ProtocolConfig.uniform([1.0, 2.0, 3.0, 4.0], NoiseSchedule.harmonic(1.0, 1.0),

@@ -72,6 +72,20 @@ class TestWindows:
                     states[last - phase.n + 1 : last + 1].sum(axis=0), rel=0, abs=1e-12
                 )
 
+    def test_a_long_run_forms_each_window_once_from_the_cumulative_sums(self):
+        # 30,001 states of 3 members: 90,003 values, more than one block of
+        # NOISE_BLOCK values. Each block is many windows wide, so it overlaps
+        # its own source rows and subtracts a copy of them.
+        run = run_si(_config([1.0, 2.0, 3.0], steps=30_000, seed=2, dist=Distribution.LAPLACE))
+        (part,) = window_sums(run)
+        states = run.phases[0][1]
+        assert states.size > metrics.NOISE_BLOCK
+        cum = np.cumsum(states, axis=0)
+        want = np.concatenate([cum[2:3], cum[3:] - cum[:-3]])
+        assert np.array_equal(part.y.view(np.uint64), want.view(np.uint64))
+        brute = np.lib.stride_tricks.sliding_window_view(states, 3, axis=0).sum(axis=-1)
+        assert np.allclose(part.y, brute, rtol=0, atol=1e-8)
+
     def test_windows_reset_on_membership_change(self):
         cfg = _config([1.0, 2.0, 3.0, 4.0], steps=30, events=(Leave(10, node=4),))
         run = run_si(cfg)

@@ -242,9 +242,8 @@ def test_the_callers_error_state_holds_in_the_overlapped_blocks(pools, layout):
             overlapped.append("beside" in kw)
         return block(source, dist, order, schedules, ks, trials, node_major, **kw)
 
-    def noise_round(x, beta, order, out, leaver=None, secret=0.0):
+    def noise_round(x, beta, order, out, sink, leaver=None, secret=0.0):
         out[...] = beta
-        return order, beta
 
     def states():
         if layout == "whole":

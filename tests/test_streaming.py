@@ -23,6 +23,7 @@ from ringsum import (
     engine,
 )
 import whole_tensor
+from stepping_engine import record_into
 from whole_tensor import (
     WindowNotFullError,
     assert_same_aggregate,
@@ -143,7 +144,7 @@ def test_chunks_handed_by_the_kernel_rebuild_each_phase(rows):
     phases = config.phases()
     whole = [np.empty((p.stop_k - p.start_k + 1, 3, p.n)) for p in phases]
     want, got = [], []
-    engine.simulate(config, 3, whole, record=lambda k, s, d: want.append((k, s, d.copy())))
+    engine.simulate(config, 3, whole, record=record_into(want, 3))
     pieces = [[] for _ in phases]
 
     def flush(p, t, chunk):
@@ -154,8 +155,7 @@ def test_chunks_handed_by_the_kernel_rebuild_each_phase(rows):
 
     buffers = (np.empty((3, min(rows, p.stop_k - p.start_k + 1), p.n)).swapaxes(0, 1)
                for p in phases)
-    engine.simulate(config, 3, buffers, record=lambda k, s, d: got.append((k, s, d.copy())),
-                    flush=flush)
+    engine.simulate(config, 3, buffers, record=record_into(got, 3), flush=flush)
     for p, states in enumerate(whole):
         assert np.array_equal(bits(np.concatenate(pieces[p])), bits(states))
     assert [(k, s) for k, s, _ in got] == [(k, s) for k, s, _ in want]
