@@ -81,13 +81,23 @@ def _round(x, beta, order, out, sink, leaver=None, secret=0.0) -> None:
     In the departure round of column `leaver`, the leaver unmasks its secret
     and its predecessor only accumulates, sending nothing; the caller drops
     the leaver's column.
+
+    Each new state is beta_i + d_(i-1), ring-wise. Where beta, the messages
+    and `out` are C-contiguous rows, columns 1.. are one flat add over the
+    whole batch, which also writes column 0 with the last message of the
+    trial before; the add of column 0 then overwrites it. Other rows (the
+    audit's node-major ones) take a 2-D add for columns 1.. instead. The
+    operands are the same either way, so are the bits.
     """
     if leaver is None:
         d = np.subtract(x, beta, out=sink(order))
     else:
         d = x - beta
         d[:, leaver] = x[:, leaver] - secret
-    np.add(beta[:, 1:], d[:, :-1], out=out[:, 1:])
+    if beta.flags.c_contiguous and d.flags.c_contiguous and out.flags.c_contiguous:
+        np.add(beta.reshape(-1)[1:], d.reshape(-1)[:-1], out=out.reshape(-1)[1:])
+    else:
+        np.add(beta[:, 1:], d[:, :-1], out=out[:, 1:])
     np.add(beta[:, :1], d[:, -1:], out=out[:, :1])
     if leaver is not None:
         pi = (leaver - 1) % len(order)

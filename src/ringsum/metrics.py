@@ -8,9 +8,9 @@ the current-phase member sum. For a run's phase p, `window_sums(run)[p].y[i, j]`
 is the estimate of node `order[j]` at step `k_end[i]`.
 
 Monte Carlo trials are simulated together and streamed: `engine.run_si`
-has all trials' states written a chunk of rounds at a time into one buffer
-per phase (trials-major with membership events, step-major without) and
-keeps trial 0's rows, which `aggregate_trials` hands back as its `run`.
+has all trials' states written a chunk of rounds at a time into one
+step-major (rows, trials, n) buffer per phase and keeps trial 0's rows,
+which `aggregate_trials` hands back as its `run`.
 The window sums are formed in place there, carrying the last cumulative
 sums from chunk to chunk, and each chunk is reduced over trials before the
 next overwrites it. A buffer holds a noise chunk's rounds (but at least n)
@@ -21,6 +21,12 @@ steps. A single run's states are read-only, so its window sums work on a
 copy; `window_sums` returns one series per phase of the run, empty for a
 phase of fewer than n states. Each window is cum[k] - cum[k - n] of the
 phase's cumulative sums, formed once, in blocks of about NOISE_BLOCK values.
+
+The bytes of the aggregates depend on the order of each sum over trials.
+The variance sums every (window, node) cell's trials in trial order. The
+mean and spread of the per-trial error sums sum their trials in trial order
+with membership events and pairwise without: the two orders the established
+artifacts were written with.
 """
 from __future__ import annotations
 
@@ -61,7 +67,13 @@ def _window_rows(rows: np.ndarray, n: int, carry: np.ndarray | None = None) -> n
     if carry is not None:
         # Row 1 then gets carry[-1] + state, the addition of one long cumsum.
         rows[0] = carry[-1]
-    np.cumsum(rows, axis=0, out=rows)
+    if len(rows) < rows[0].size:
+        # A wide chunk: np.cumsum's own additions, one row at a time, each
+        # over contiguous memory instead of one short loop per column.
+        for i in range(1, len(rows)):
+            np.add(rows[i - 1], rows[i], out=rows[i])
+    else:
+        np.cumsum(rows, axis=0, out=rows)
     after = rows[-(n + 1) :].copy()
     # Descending blocks of a multiple of n rows, about NOISE_BLOCK values
     # each: a block of more than n rows overlaps its source, so it subtracts
@@ -141,14 +153,7 @@ def _stream(config: ProtocolConfig, trials: int, take) -> RunResult:
             # A noise block's rounds, but at least n: a chunk short of its
             # phase then ends past the phase's first window.
             rows = min(p.stop_k - p.start_k, max(engine.chunk_rounds(trials, p.n), p.n)) + 1
-            # The layout decides the bytes of the aggregates: reductions over
-            # trials sum a C-ordered (trials, steps, n) tensor sequentially,
-            # but a transposed step-major tensor pairwise. Keep the two
-            # established layouts, chunk by chunk.
-            if config.events:
-                yield np.empty((trials, rows, p.n)).swapaxes(0, 1)
-            else:
-                yield np.empty((rows, trials, p.n))
+            yield np.empty((rows, trials, p.n))
 
     carry = None
 
@@ -171,19 +176,34 @@ def aggregate_trials(config: ProtocolConfig, trials: int) -> ErrorAggregate:
     if trials < 2:
         raise ValueError("variance estimation needs at least 2 trials")
     columns = []
+    # Room for a trials-major copy of about NOISE_BLOCK values of a chunk's
+    # windows, and at least of one window, for every chunk.
+    scratch = np.empty(max(NOISE_BLOCK, trials * max(p.n for p in config.phases())))
 
     # Squares of huge estimates overflow to inf, which errors.csv then reads.
     @np.errstate(over="ignore")
     def take(phase, k_end, y):
-        # Every (step, node) cell is reduced over the trials of the whole
-        # phase's memory layout. numpy sums a trials-major chunk of one
-        # window pairwise, and one of more windows row by row, so a chunk
-        # reduces the repeated window along with its own.
-        var = y.var(axis=0, ddof=1)  # (windows, n)
-        # The deviations overwrite the chunk, which the engine refills next:
-        # one chunk-sized temporary (var's) instead of two.
+        # y.var(axis=0, ddof=1) as numpy computes it, step by step and in
+        # place, on a C-ordered copy of a block of windows at a time: every
+        # (window, node) cell sums its trials in trial order, row by row, as
+        # numpy does on the step-major chunk, but over contiguous rows.
+        var, width = np.empty(y.shape[1:]), scratch.size // (trials * phase.n)  # (windows, n)
+        for w in range(0, y.shape[1], width):
+            block = y[:, w : w + width]
+            sq = scratch[: block.size].reshape(block.shape)
+            np.copyto(sq, block)
+            sq -= sq.sum(axis=0, keepdims=True) / trials
+            np.square(sq, out=sq)
+            var[w : w + width] = sq.sum(axis=0) / (trials - 1)
+        # The deviations overwrite the chunk, which the engine refills next.
         dev = np.subtract(y, phase.target, out=y)
-        sae = np.abs(dev, out=dev).sum(axis=2)  # (trials, windows)
+        sae = np.abs(dev, out=dev).sum(axis=2)  # (trials, windows), trials-contiguous
+        # numpy sums these over trials pairwise. With membership events the
+        # established order is trial by trial, which numpy takes on a
+        # C-ordered copy of more than one window; a phase's chunks after its
+        # first hold more, since they repeat the window before.
+        if config.events:
+            sae = np.ascontiguousarray(sae)
         new = slice(y.shape[1] - len(k_end), None)
         columns.append((
             k_end,

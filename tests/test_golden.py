@@ -1,10 +1,11 @@
 """Golden artifact digests for four tiny scenarios, and of one audit's output.
 
-The Monte Carlo aggregates in errors.csv depend on the memory layout the
-trial reductions run over, not only on the simulated values: a C-ordered
-(trials, steps, n) tensor is summed sequentially over trials, a step-major
-tensor seen through a transposed view is summed pairwise. Both scenarios use
-at least 10 trials so that the pairwise path engages. The other two pin the
+The Monte Carlo aggregates in errors.csv depend on the order of each sum
+over trials, not only on the simulated values: the per-trial error sums are
+summed over trials in trial order with membership events (the churn
+scenario) and pairwise without (the dense one), and the variance sums each
+cell's trials in trial order. Both scenarios use at least 10 trials so that
+the pairwise path engages. The other two pin the
 single-run writers: a Poisson-clock run and a one-trial run with a leave and
 a join, whose errors.csv lists per-run window errors instead of aggregates.
 Any change to how the engine, the estimator or the CSV writers store or

@@ -3,10 +3,14 @@
 The oracles are the allocating noise pipeline (`_hash`, `_to_unit` and the
 `NoiseSource` methods), kept verbatim below (only renamed, with the Laplace
 draw's clamp at u = 1.0 added), and the whole-tensor Monte Carlo statistics
-of `whole_tensor.py`. The noise is now drawn in blocks, in place, on a
-thread pool, and the statistics are streamed in chunks of rounds; neither
-may change a bit, whatever the block size, the worker count or the chunk.
+of `whole_tensor.py`; and `two_d_round`, the hand-off of `engine._round`
+spelled as two 2-D adds on rows of any layout. The noise is now drawn in
+blocks, in place, on a thread pool, the statistics are streamed in chunks
+of rounds, and contiguous rows take the hand-off as one flat add; none may
+change a bit, whatever the block size, the worker count, the chunk or the
+memory layout.
 """
+import itertools
 import math
 import os
 import signal
@@ -252,38 +256,68 @@ def test_block_cuts_cover_the_output_once():
             assert np.all(hits == 1)
 
 
-# -- node-major states equal trial-major ones ----------------------------------
+# -- states in any layout equal those of the 2-D hand-off -----------------------
 
 
-NODE_MAJOR = {  # row t of each is a (trials, n) view whose trial stride is the smaller
+ROWS = {  # row t of each is a (trials, n) view, C-contiguous only if "contiguous"
+    "contiguous": lambda steps, trials, n: np.empty((steps, trials, n)),
+    "trials-major": lambda steps, trials, n: np.empty((trials, steps, n)).swapaxes(0, 1),
+    # node-major: the trial stride is the smaller
     "columns": lambda steps, trials, n: np.empty((steps, n, trials)).swapaxes(1, 2),
     "fortran": lambda steps, trials, n: np.empty((n, trials, steps)).T,
 }
+NODE_MAJOR = ("columns", "fortran")
+RINGS = {  # a leave (whose departure round drops a column of the messages) and a join
+    3: (Join(9, node=6, anchor=2, secret=-7.5), Leave(17, node=1)),
+    5: (Leave(9, node=2), Join(17, node=6, anchor=4, secret=-7.5)),
+    10: (Leave(9, node=2), Join(17, node=11, anchor=4, secret=-7.5)),
+}
+
+
+def two_d_round(x, beta, order, out, sink, leaver=None, secret=0.0):
+    """`engine._round` with the hand-off spelled as two 2-D adds, whatever the rows."""
+    if leaver is None:
+        d = np.subtract(x, beta, out=sink(order))
+    else:
+        d = x - beta
+        d[:, leaver] = x[:, leaver] - secret
+    np.add(beta[:, 1:], d[:, :-1], out=out[:, 1:])
+    np.add(beta[:, :1], d[:, -1:], out=out[:, :1])
+    if leaver is not None:
+        pi = (leaver - 1) % len(order)
+        out[:, pi] = x[:, pi] + d[:, pi - 1]
+        if (sent := sink(order[:pi] + order[pi + 1 :])) is not None:
+            sent[:, :pi], sent[:, pi:] = d[:, :pi], d[:, pi + 1 :]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
-@pytest.mark.parametrize("layout", sorted(NODE_MAJOR))
+@pytest.mark.parametrize("layout", sorted(ROWS))
 @pytest.mark.parametrize("dist", list(Distribution))
 def test_node_major_states_equal_trial_major_ones(pools, dist, layout, workers):
-    # A leave (whose departure round drops a column of node-major messages)
-    # and a join, on 2 to 9 trials; blocks of 64 values, so that the pool
-    # draws every call.
-    config = ProtocolConfig.uniform(SECRETS, NoiseSchedule.harmonic(3.0, 1.0), dist, 30, 8,
-                                    (Leave(9, node=2), Join(17, node=6, anchor=4, secret=-7.5)))
-    phases, block = config.phases(), engine.noise_block
-    for trials in range(2, 10):
+    # Rings of 3 to 10 members on 1 to 9 trials, against contiguous rows
+    # whose hand-off is spelled as two 2-D adds: contiguous rows take the
+    # flat add, the others the 2-D one, node-major rows with node-major
+    # noise. States and messages must be the same bits, the departure round
+    # included. Blocks of 64 values, so that the pool draws every call.
+    block = engine.noise_block
+    for (members, events), trials in itertools.product(RINGS.items(), range(1, 10)):
+        config = ProtocolConfig.uniform(np.linspace(-20.0, 70.0, members),
+                                        NoiseSchedule.harmonic(3.0, 1.0), dist, 30, 8, events)
+        phases = config.phases()
         lengths = [p.stop_k - p.start_k + 1 for p in phases]
-        trial_major = [np.empty((m, trials, p.n)) for m, p in zip(lengths, phases)]
-        node_major = [NODE_MAJOR[layout](m, trials, p.n) for m, p in zip(lengths, phases)]
+        want_states = [ROWS["contiguous"](m, trials, p.n) for m, p in zip(lengths, phases)]
+        got_states = [ROWS[layout](m, trials, p.n) for m, p in zip(lengths, phases)]
         want, got, orders = [], [], []
         with mock.patch.object(noise, "NOISE_BLOCK", 1 << 6), \
                 mock.patch.object(noise, "_POOL", pools[workers]), \
                 mock.patch.object(engine, "noise_block",
                                   lambda *args, **kw: orders.append(args[6]) or block(*args, **kw)):
-            engine.simulate(config, trials, trial_major, 3, record=record_into(want, trials))
-            engine.simulate(config, trials, node_major, 3, record=record_into(got, trials))
-        assert orders == [False] * len(phases) + [True] * len(phases)
-        for a, b in zip(node_major, trial_major, strict=True):
+            with mock.patch.object(engine, "_round", two_d_round):
+                engine.simulate(config, trials, want_states, 3, record=record_into(want, trials))
+            engine.simulate(config, trials, got_states, 3, record=record_into(got, trials))
+        node_major = trials > 1 and layout in NODE_MAJOR
+        assert orders == [False] * len(phases) + [node_major] * len(phases)
+        for a, b in zip(got_states, want_states, strict=True):
             assert np.array_equal(bits(a), bits(b))
         assert [(k, s) for k, s, _ in got] == [(k, s) for k, s, _ in want]
         for (_, _, a), (_, _, b) in zip(got, want):
@@ -294,24 +328,24 @@ def test_node_major_states_equal_trial_major_ones(pools, dist, layout, workers):
 
 
 SECRETS = [25.1698, 15.3211, 69.9334, 45.7828, 98.0388]
-LAYOUTS = {  # trials-major chunks with membership events, step-major without
+CONFIGS = {  # the membership events of each config
     "dense": (),
     "events": (Leave(599, node=5), Join(1280, node=5, anchor=4, secret=SECRETS[-1])),
 }
 
 
 @pytest.mark.parametrize("rounds", [2, 7, None])
-@pytest.mark.parametrize("layout", sorted(LAYOUTS))
-def test_chunked_statistics_equal_the_whole_tensor_ones(layout, rounds):
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_chunked_statistics_equal_the_whole_tensor_ones(name, rounds):
     # 1796 steps: each phase spans more than two chunks. The windows per
     # phase are 1793 without events and 596, 678 and 513 with them, so the
     # last chunk of a phase is full or ragged. Noise blocks of 2 rounds give
     # chunks of n rounds (the floor), of 7 rounds chunks of 7 or 8, and the
     # default block holds every phase whole.
     config = ProtocolConfig.uniform(SECRETS, NoiseSchedule.harmonic(1000.0, 1.0),
-                                    Distribution.GAUSSIAN, 1796, 42, LAYOUTS[layout])
+                                    Distribution.GAUSSIAN, 1796, 42, CONFIGS[name])
     lengths = [len(p.k_end) for p in trial_windows(config, 2)]
-    assert lengths == ([1793] if layout == "dense" else [596, 678, 513])
+    assert lengths == ([1793] if name == "dense" else [596, 678, 513])
     chunk = engine.NOISE_CHUNK if rounds is None else rounds * 13 * len(SECRETS)
     with mock.patch.object(engine, "NOISE_CHUNK", chunk):
         got = aggregate_trials(config, 13)
@@ -319,8 +353,8 @@ def test_chunked_statistics_equal_the_whole_tensor_ones(layout, rounds):
 
 
 @pytest.mark.parametrize("windows", [1, 2, 8, 9, 10, 11])
-@pytest.mark.parametrize("layout", sorted(LAYOUTS))
-def test_chunked_statistics_keep_the_order_of_each_sum(layout, windows):
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_chunked_statistics_keep_the_order_of_each_sum(name, windows):
     # States of magnitudes 1e-8 .. 1e8: summed over the 40 trials in another
     # order, almost every cell rounds differently. The protocol's rounds keep
     # a window near the member sum, so each round here just sets the state to
@@ -330,7 +364,7 @@ def test_chunked_statistics_keep_the_order_of_each_sum(layout, windows):
     # the 3 nodes after it. Chunks of 4 rounds; 8 windows leave a last chunk
     # of one new state, and a single window is a single trials-major one with
     # events.
-    steps = windows + (1 if layout == "dense" else 2)
+    steps = windows + (1 if name == "dense" else 2)
     rng = np.random.default_rng(windows)
     wide = rng.standard_normal((steps + 1, 40, 4)) * 10.0 ** rng.uniform(-8, 8, (steps + 1, 40, 4))
 
@@ -344,9 +378,9 @@ def test_chunked_statistics_keep_the_order_of_each_sum(layout, windows):
     def noise_round(x, beta, order, out, sink, leaver=None, secret=0.0):
         out[...] = beta
 
-    config = ProtocolConfig.uniform(SECRETS[:3] if layout == "dense" else SECRETS[:4],
+    config = ProtocolConfig.uniform(SECRETS[:3] if name == "dense" else SECRETS[:4],
                                     NoiseSchedule.harmonic(1.0, 1.0), Distribution.GAUSSIAN,
-                                    steps, 0, () if layout == "dense" else (Leave(0, node=4),))
+                                    steps, 0, () if name == "dense" else (Leave(0, node=4),))
     with mock.patch.object(engine, "noise_block", wide_noise), \
             mock.patch.object(engine, "_round", noise_round), \
             mock.patch.object(engine, "NOISE_CHUNK", 4 * 40 * 3):

@@ -76,8 +76,12 @@ class TestWindows:
         # 30,001 states of 3 members: 90,003 values, more than one block of
         # NOISE_BLOCK values. Each block is many windows wide, so it overlaps
         # its own source rows and subtracts a copy of them.
+        # Its cumulative sums are one np.cumsum call, not one add per row.
         run = run_si(_config([1.0, 2.0, 3.0], steps=30_000, seed=2, dist=Distribution.LAPLACE))
-        (part,) = window_sums(run)
+        with mock.patch.object(np, "cumsum", wraps=np.cumsum) as cumsum, \
+                mock.patch.object(np, "add", wraps=np.add) as add:
+            (part,) = window_sums(run)
+        assert (cumsum.call_count, add.call_count) == (1, 0)
         states = run.phases[0][1]
         assert states.size > metrics.NOISE_BLOCK
         cum = np.cumsum(states, axis=0)
@@ -85,6 +89,24 @@ class TestWindows:
         assert np.array_equal(part.y.view(np.uint64), want.view(np.uint64))
         brute = np.lib.stride_tricks.sliding_window_view(states, 3, axis=0).sum(axis=-1)
         assert np.allclose(part.y, brute, rtol=0, atol=1e-8)
+
+    def test_a_wide_chunk_adds_its_cumulative_sums_row_by_row(self):
+        # Two chunks shaped like si_dense's, (54, 500, 10), of states of
+        # magnitudes 1e-8 .. 1e8, the second carrying the first's cumulative
+        # sums: fewer rows than values per row, so one np.add per row and no
+        # np.cumsum, with the bits of one np.cumsum over both and the windows.
+        rng = np.random.default_rng(5)
+        states = rng.standard_normal((107, 500, 10)) * 10.0 ** rng.uniform(-8, 8, (107, 500, 10))
+        cum = np.cumsum(states, axis=0)
+        want = np.concatenate([cum[9:10], cum[10:] - cum[:-10]])
+        first, second = states[:54].copy(), states[53:].copy()
+        with mock.patch.object(np, "cumsum", wraps=np.cumsum) as cumsum, \
+                mock.patch.object(np, "add", wraps=np.add) as add:
+            carry = metrics._window_rows(first, 10)
+            metrics._window_rows(second, 10, carry)
+        assert (cumsum.call_count, add.call_count) == (0, 2 * 53)
+        got = np.concatenate([first[9:], second[1:]])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_windows_reset_on_membership_change(self):
         cfg = _config([1.0, 2.0, 3.0, 4.0], steps=30, events=(Leave(10, node=4),))

@@ -36,9 +36,9 @@ from whole_tensor import assert_same_aggregate, bits, oracle_aggregate_trials
 
 SECRETS = [25.1698, 15.3211, 69.9334, 45.7828, 98.0388]
 TRIALS = 13
-LAYOUTS = {  # trials-major chunks with membership events, step-major without
+CONFIGS = {  # the membership events of each config
     "dense": (),
-    "churn": (Leave(30, node=5), Join(62, node=5, anchor=4, secret=SECRETS[-1])),
+    "events": (Leave(30, node=5), Join(62, node=5, anchor=4, secret=SECRETS[-1])),
 }
 # Long enough for either side to reach the other; a run that does not
 # overlap fails after this many seconds instead of hanging.
@@ -55,20 +55,17 @@ def pools():
         pool.shutdown()
 
 
-def make_config(layout: str, steps: int = 95, c: float = 1000.0) -> ProtocolConfig:
+def make_config(name: str, steps: int = 95, c: float = 1000.0) -> ProtocolConfig:
     return ProtocolConfig.uniform(SECRETS, NoiseSchedule.harmonic(c, 1.0), Distribution.GAUSSIAN,
-                                  steps, 11, LAYOUTS[layout])
+                                  steps, 11, CONFIGS[name])
 
 
 def buffers(config: ProtocolConfig, trials: int):
     """Chunk buffers as `metrics` sizes and lays them out: a noise chunk's
-    rounds, but at least n, plus the state that ends the chunk before."""
+    rounds, but at least n, plus the state that ends the chunk before, step-major."""
     for p in config.phases():
         rows = min(p.stop_k - p.start_k, max(engine.chunk_rounds(trials, p.n), p.n)) + 1
-        if config.events:
-            yield np.empty((trials, rows, p.n)).swapaxes(0, 1)
-        else:
-            yield np.empty((rows, trials, p.n))
+        yield np.empty((rows, trials, p.n))
 
 
 def chunked_states(config: ProtocolConfig, trials: int) -> list[np.ndarray]:
@@ -96,13 +93,13 @@ def draws_of(calls: list):
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 @pytest.mark.parametrize("rounds", [2, 7, None])
-@pytest.mark.parametrize("layout", sorted(LAYOUTS))
-def test_overlapped_runs_equal_the_whole_phase_ones(pools, layout, rounds, workers):
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_overlapped_runs_equal_the_whole_phase_ones(pools, name, rounds, workers):
     # Noise chunks of 2 rounds meet buffers of n + 1 rows, so each draw is
     # n rounds, more than a noise chunk; chunks of 7 rounds draw 7. The
     # default chunk holds each phase whole, so nothing overlaps. Blocks of
     # 64 values put every draw on the pool.
-    config = make_config(layout)
+    config = make_config(name)
     chunk = engine.NOISE_CHUNK if rounds is None else rounds * TRIALS * len(SECRETS)
     calls = []
     with mock.patch.object(engine, "NOISE_CHUNK", chunk), \
@@ -202,7 +199,7 @@ def test_a_flush_error_comes_out_once_every_block_has_finished(pools):
 def test_a_block_error_reaches_the_caller_after_the_flush(pools, block_values):
     # Blocks of 64 values put the failing draw on the pool; the default
     # block draws it in one task on this thread.
-    config = make_config("churn")
+    config = make_config("events")
     fill, block, drawing, flushed = noise._fill, engine.noise_block, {}, []
 
     def spy_block(*args, **kw):

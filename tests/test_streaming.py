@@ -136,10 +136,10 @@ def test_streamed_trial_means_equal_the_whole_tensor(kind, chunk, dist, trials):
 
 @pytest.mark.parametrize("rows", [2, 3, N, N + 1, 64])
 def test_chunks_handed_by_the_kernel_rebuild_each_phase(rows):
-    # Chunks of `rows` rows, in a trials-major layout, that the caller
-    # overwrites once it has copied them: the states and the messages are
-    # the bits of whole-phase buffers, and each chunk starts on the state
-    # that ended the one before.
+    # Step-major chunks of `rows` rows, as `metrics` lays them out, that
+    # the caller overwrites once it has copied them: the states and the
+    # messages are the bits of whole-phase buffers, and each chunk starts on
+    # the state that ended the one before.
     config = make_config("churn", Distribution.LAPLACE, noise_chunk("n", 3), 3, 1)
     phases = config.phases()
     whole = [np.empty((p.stop_k - p.start_k + 1, 3, p.n)) for p in phases]
@@ -153,8 +153,7 @@ def test_chunks_handed_by_the_kernel_rebuild_each_phase(rows):
         pieces[p].append(chunk.copy() if t == 0 else chunk[1:].copy())
         chunk[...] = np.nan
 
-    buffers = (np.empty((3, min(rows, p.stop_k - p.start_k + 1), p.n)).swapaxes(0, 1)
-               for p in phases)
+    buffers = (np.empty((min(rows, p.stop_k - p.start_k + 1), 3, p.n)) for p in phases)
     engine.simulate(config, 3, buffers, record=record_into(got, 3), flush=flush)
     for p, states in enumerate(whole):
         assert np.array_equal(bits(np.concatenate(pieces[p])), bits(states))
